@@ -44,6 +44,7 @@ from .learners import (
     eta_for,
     make_learner,
     run,
+    run_batch,
     wm_weights,
 )
 from .sequences import (
@@ -98,6 +99,7 @@ __all__ = [
     "permutations",
     "restrict",
     "run",
+    "run_batch",
     "with_bounds",
     "wm_weights",
 ]

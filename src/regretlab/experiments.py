@@ -1,14 +1,19 @@
 """Permutation harness: drive learners over reorderings, aggregate, check bounds.
 
-Each permutation gets a fresh learner; expectations are means of per-ordering
-analytic expected mistakes, so exhaustive runs are exactly reproducible.
-Sampled-realized maxima are reported alongside the analytic maxima because
-the two readings of a "max mistakes" column differ for randomized learners.
+The orderings of a stream run as batches through `learners.run_batch`, which
+advances every ordering of a batch together, round by round, from a fresh
+learner state; there is no learner object per ordering. Expectations are
+means of per-ordering analytic expected mistakes, so exhaustive runs are
+exactly reproducible. Sampled-realized maxima are reported alongside the
+analytic maxima because the two readings of a "max mistakes" column differ
+for randomized learners. With jobs > 1 the stream is split into contiguous
+index ranges, one per worker process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -17,7 +22,8 @@ import numpy as np
 
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
-from .learners import ANALYTIC, Analytic, LearnerConfig, Sampled, run
+from .learners import ANALYTIC, Analytic, LearnerConfig, Sampled, run_batch
+from .learners import run  # noqa: F401  (perfbench/spans.py wraps `experiments.run`)
 from .ldim import LdimComputer
 from .sequences import (
     REALIZABLE,
@@ -62,41 +68,6 @@ class PermutationReport:
         return self.max_mistakes - self.best_mistakes
 
 
-def _chunk_values(
-    config: LearnerConfig,
-    stream: PermutationStream,
-    mode: Analytic | Sampled,
-    start: int,
-    stop: int,
-    case: ExperimentCase,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-permutation totals for orderings start..stop of the stream."""
-    cls, base = make_case_inputs(case)
-    expected = []
-    realized_max = []
-    randomized = False
-    for idx, order in enumerate(islice(stream.orders(), start, stop), start=start):
-        seq = tuple(base.examples[i] for i in order)
-        if isinstance(mode, Sampled):
-            perm_mode = Sampled(seed=(_flatten_seed(mode.seed) + (idx,)), trials=mode.trials)
-        else:
-            perm_mode = mode
-        trace = run(config, cls, seq, perm_mode, collect_rounds=False)
-        expected.append(trace.expected_mistakes)
-        if trace.trial_mistakes is not None:
-            realized_max.append(int(trace.trial_mistakes.max()))
-        randomized = randomized or trace.randomized_rounds > 0
-    return (
-        np.asarray(expected, dtype=np.float64),
-        np.asarray(realized_max, dtype=np.float64),
-        randomized,
-    )
-
-
-def _flatten_seed(seed) -> tuple[int, ...]:
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-
-
 def evaluate(
     config: LearnerConfig,
     case: ExperimentCase,
@@ -104,24 +75,27 @@ def evaluate(
     mode: Analytic | Sampled = ANALYTIC,
     jobs: int = 1,
 ) -> PermutationReport:
-    """Run the learner afresh on every ordering in the stream and aggregate."""
+    """Run the learner from a fresh state on every ordering in the stream and aggregate.
+
+    Worker processes are capped at the ordering count and the CPU count.
+    """
     cls, base = make_case_inputs(case)
     if stream.base.examples != base.examples:
         raise ValueError("stream base sequence does not match the case")
 
     total = len(stream)
-    jobs = max(1, min(jobs, total))
+    jobs = max(1, min(jobs, total, os.cpu_count() or 1))
     if jobs == 1:
-        chunks = [_chunk_values(config, stream, mode, 0, total, case)]
+        chunks = [run_batch(config, cls, base, stream.orders(), mode)]
     else:
         bounds_ = np.linspace(0, total, jobs + 1, dtype=int)
         args = [
-            (config, stream, mode, int(a), int(b), case)
+            (config, case, stream, mode, int(a), int(b))
             for a, b in zip(bounds_[:-1], bounds_[1:])
             if b > a
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_chunk_values_star, args))
+            chunks = list(pool.map(_chunk_values, args))
 
     expected = np.concatenate([c[0] for c in chunks])
     realized = np.concatenate([c[1] for c in chunks])
@@ -147,8 +121,11 @@ def evaluate(
     )
 
 
-def _chunk_values_star(args):
-    return _chunk_values(*args)
+def _chunk_values(args) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Worker: `run_batch` over orderings start..stop of the stream."""
+    config, case, stream, mode, start, stop = args
+    cls, base = make_case_inputs(case)
+    return run_batch(config, cls, base, islice(stream.orders(), start, stop), mode, start)
 
 
 def _realizable_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float]:

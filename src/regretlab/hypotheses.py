@@ -96,6 +96,12 @@ class VersionSpace:
         return (self.mask & -self.mask).bit_length() - 1
 
 
+def bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a 2-D 0/1 array as an integer bitmask: bit i is column i."""
+    packed = np.packbits(np.asarray(rows, dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteHypothesisClass:
     """A d x n binary evaluation table over an explicit finite domain."""
@@ -119,11 +125,7 @@ class FiniteHypothesisClass:
         object.__setattr__(self, "domain", tuple(int(x) for x in self.domain))
         object.__setattr__(self, "_col", {x: j for j, x in enumerate(self.domain)})
         # per-column bitmask of the hypotheses predicting 1
-        ones = tuple(
-            int(sum(1 << i for i in range(table.shape[0]) if table[i, j]))
-            for j in range(table.shape[1])
-        )
-        object.__setattr__(self, "_ones", ones)
+        object.__setattr__(self, "_ones", tuple(bitmasks(table.T)))
 
     @property
     def d(self) -> int:

@@ -13,6 +13,11 @@ sequences only). wm is the randomized expert-advice learner with weights
 exp(-eta * mistakes), normalized. The wm_* hybrids run their version-space
 engine until the space empties, then hand the accumulated expert mistake
 counts to the expert-advice core for the remaining rounds.
+
+`run` drives one learner object over one sequence and keeps the per-round
+record. `run_batch` gives the same per-ordering totals for many orderings of
+one sequence at once: it advances every ordering of a batch together, one
+round at a time, on arrays of expert mistake counts and version spaces.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionMismatch, WrongPhase
-from .hypotheses import FiniteHypothesisClass, Sequence, VersionSpace, restrict
+from .hypotheses import FiniteHypothesisClass, Sequence, VersionSpace, bitmasks, restrict
 from .ldim import LdimComputer
 
 BASELINE_KINDS = ("consistent", "halving", "soa")
@@ -86,15 +92,12 @@ class Prediction:
     def prob(cls, p: float) -> "Prediction":
         return cls(float(p), randomized=True)
 
-    def mistake_probability(self, y: int) -> float:
-        return self.p_one if y == 0 else 1.0 - self.p_one
-
 
 def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
-    """Normalized weights exp(-eta * mistakes); shifted for stability."""
+    """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability."""
     m = np.asarray(mistakes, dtype=np.float64)
-    w = np.exp(-eta * (m - m.min()))
-    return w / w.sum()
+    w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class WeightedMajority:
@@ -161,12 +164,21 @@ class _HalvingEngine:
         return Prediction.label(1 if self.tie_break == "one" else 0)
 
 
-class _SoaEngine:
-    """Predicts the label whose restriction keeps the larger Ldim; ties go to 1.
+def soa_label(computer: LdimComputer, mask: int, ones: int) -> int:
+    """The label whose restriction of `mask` keeps the larger Ldim; ties go to 1.
 
-    An empty restriction side counts as Ldim -1 so the non-empty side always
-    wins. The Ldim memo is owned by this engine and so by a single run.
+    `ones` is the mask of hypotheses labeling the instance 1. An empty
+    restriction side counts as Ldim -1 so the non-empty side always wins.
     """
+    m1 = mask & ones
+    m0 = mask & ~ones
+    l1 = computer.value(m1) if m1 else -1
+    l0 = computer.value(m0) if m0 else -1
+    return 1 if l1 >= l0 else 0
+
+
+class _SoaEngine:
+    """SOA prediction; the Ldim memo is owned by this engine and so by a single run."""
 
     def __init__(self, cls: FiniteHypothesisClass, config: LearnerConfig):
         self.cls = cls
@@ -174,11 +186,7 @@ class _SoaEngine:
 
     def predict(self, space: VersionSpace, x: int) -> Prediction:
         ones = self.cls.ones_mask(self.cls.column_index(x))
-        m1 = space.mask & ones
-        m0 = space.mask & ~ones
-        l1 = self.computer.value(m1) if m1 else -1
-        l0 = self.computer.value(m0) if m0 else -1
-        return Prediction.label(1 if l1 >= l0 else 0)
+        return Prediction.label(soa_label(self.computer, space.mask, ones))
 
 
 _ENGINES = {"consistent": _ConsistentEngine, "halving": _HalvingEngine, "soa": _SoaEngine}
@@ -288,6 +296,31 @@ class Sampled:
 
 ANALYTIC = Analytic()
 
+SAMPLE_BLOCK_DRAWS = 1 << 20  # uniform draws held in memory at once per sampled pass set
+
+
+def sample_mistakes(
+    seed: int | tuple[int, ...], trials: int, p_one: np.ndarray, truth: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mistakes per trial, mistake frequency per round) of `trials` sampled passes.
+
+    Round t of each pass predicts 1 with probability p_one[t] against the
+    true label truth[t]. Draws are made in blocks of at most
+    SAMPLE_BLOCK_DRAWS numbers (at least one pass); the generator fills
+    sequentially, so the result equals a single (trials, T) draw.
+    """
+    T = len(p_one)
+    rng = np.random.default_rng(seed)
+    rows = max(1, SAMPLE_BLOCK_DRAWS // max(T, 1))
+    trial_mistakes = np.empty(trials, dtype=np.int64)
+    wrong_per_round = np.zeros(T, dtype=np.int64)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        wrong = (rng.random((stop - start, T)) < p_one) != truth
+        trial_mistakes[start:stop] = wrong.sum(axis=1)
+        wrong_per_round += wrong.sum(axis=0)
+    return trial_mistakes, wrong_per_round / trials
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -359,11 +392,7 @@ def run(
     analytic_probs = np.where(ys == 0, p_ones, 1.0 - p_ones)
     trial_mistakes = None
     if isinstance(mode, Sampled):
-        rng = np.random.default_rng(mode.seed)
-        draws = rng.random((mode.trials, len(examples)))
-        wrong = (draws < p_ones) != (ys == 1)
-        trial_mistakes = wrong.sum(axis=1).astype(np.int64)
-        round_probs = wrong.mean(axis=0)
+        trial_mistakes, round_probs = sample_mistakes(mode.seed, mode.trials, p_ones, ys == 1)
     else:
         round_probs = analytic_probs
 
@@ -383,3 +412,138 @@ def run(
         min_mistakes_at_switch=getattr(learner, "min_mistakes_at_switch", None),
         trial_mistakes=trial_mistakes,
     )
+
+
+BATCH_ORDERINGS = 1024  # orderings advanced together; bounds memory at T = 9 (9! orderings)
+
+
+def _flatten_seed(seed) -> tuple[int, ...]:
+    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+
+
+def run_batch(
+    config: LearnerConfig,
+    cls: FiniteHypothesisClass,
+    base: Sequence,
+    orders: Iterable[Iterable[int]],
+    mode: Analytic | Sampled = ANALYTIC,
+    first_index: int = 0,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per-ordering totals of the learner over reorderings of `base`.
+
+    Each ordering lists positions into `base`. For every ordering this gives
+    what `run` gives on the reordered sequence: returns (expected mistakes per
+    ordering, realized maximum over trials per ordering -- empty in analytic
+    mode --, whether any prediction was randomized). The iterable is consumed
+    once, in batches of at most BATCH_ORDERINGS. Ordering k of it has stream
+    index first_index + k, and in sampled mode draws from the seed
+    mode.seed + (first_index + k,). One Ldim memo serves every ordering, since
+    the SOA rule depends only on the version space.
+    """
+    examples = tuple(base)
+    for _, y in examples:
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
+    T = len(examples)
+    cols = np.array([cls.column_index(x) for x, _ in examples], dtype=np.intp)
+    truth = np.array([y == 1 for _, y in examples], dtype=bool)
+    advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
+    eta = eta_for(cls.d, T, config.eta_variant)
+    computer = LdimComputer(cls) if config.kind.endswith("soa") else None
+
+    expected, realized = [], []
+    randomized = False
+    orders = iter(orders)
+    index = first_index
+    while batch := list(islice(orders, BATCH_ORDERINGS)):
+        positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
+        ys = truth[positions]
+        p_one, rand = _batch_p_one(config, cls, advice_of, cols[positions], ys, eta, computer)
+        randomized = randomized or bool(rand.any())
+        if isinstance(mode, Sampled):
+            seed = _flatten_seed(mode.seed)
+            totals = np.empty(len(batch))
+            maxima = np.empty(len(batch), dtype=np.int64)
+            for k in range(len(batch)):
+                trials, round_probs = sample_mistakes(seed + (index + k,), mode.trials, p_one[k], ys[k])
+                totals[k] = round_probs.sum()
+                maxima[k] = trials.max()
+            expected.append(totals)
+            realized.append(maxima)
+        else:
+            expected.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=1))
+        index += len(batch)
+    return (
+        np.concatenate(expected) if expected else np.empty(0),
+        np.concatenate(realized) if realized else np.empty(0, dtype=np.int64),
+        randomized,
+    )
+
+
+def _batch_p_one(
+    config: LearnerConfig,
+    cls: FiniteHypothesisClass,
+    advice_of: np.ndarray,
+    cols: np.ndarray,
+    truth: np.ndarray,
+    eta: float,
+    computer: LdimComputer | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(predict 1) and randomized flags, (B, T) each, for B orderings at once.
+
+    Row b holds ordering b's state: its expert mistake counts (wm and the
+    hybrids) and its version space as a bool row (baselines and hybrids).
+    Round t's advice is advice_of[cols[:, t]], one (B, d) array.
+    """
+    B, T = cols.shape
+    kind = config.kind
+    engine = None if kind == "wm" else kind.removeprefix("wm_")
+    mistakes = np.zeros((B, cls.d), dtype=np.int64)
+    alive = np.ones((B, cls.d), dtype=bool)
+    p_one = np.empty((B, T))
+    randomized = np.zeros((B, T), dtype=bool)
+    for t in range(T):
+        advice = advice_of[cols[:, t]]
+        in_space = alive.any(axis=1) if engine else np.zeros(B, dtype=bool)
+        if kind in BASELINE_KINDS and not in_space.all():
+            raise WrongPhase("version space is empty; the sequence is not realizable")
+        if in_space.any():
+            rows = slice(None) if in_space.all() else in_space
+            p_one[rows, t], randomized[rows, t] = _engine_p_one(
+                engine, config.tie_break, cls, alive[rows], advice[rows], cols[rows, t], computer
+            )
+        if not in_space.all():
+            rows = slice(None) if not in_space.any() else ~in_space
+            w = wm_weights(mistakes[rows], eta)
+            p_one[rows, t] = np.minimum(1.0, np.where(advice[rows], w, 0.0).sum(axis=1))
+            randomized[rows, t] = True
+        y = truth[:, t, None]
+        if engine:
+            alive &= advice == y
+        if kind not in BASELINE_KINDS:
+            mistakes += advice != y
+    return p_one, randomized
+
+
+def _engine_p_one(
+    engine: str,
+    tie_break: str,
+    cls: FiniteHypothesisClass,
+    alive: np.ndarray,
+    advice: np.ndarray,
+    cols: np.ndarray,
+    computer: LdimComputer | None,
+) -> tuple[np.ndarray, np.ndarray | bool]:
+    """(P(predict 1), randomized) of a version-space rule on rows with a non-empty space."""
+    if engine == "consistent":  # the lowest surviving index
+        first = alive.argmax(axis=1)
+        return advice[np.arange(len(first)), first].astype(np.float64), False
+    if engine == "halving":
+        ones = (alive & advice).sum(axis=1)
+        zeros = alive.sum(axis=1) - ones
+        tie = ones == zeros
+        p = (ones > zeros).astype(np.float64)
+        p[tie] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
+        return p, tie if tie_break == "random" else False
+    labels = [soa_label(computer, mask, cls.ones_mask(j)) for mask, j in zip(bitmasks(alive), cols)]
+    return np.array(labels, dtype=np.float64), False

@@ -4,13 +4,16 @@ The Littlestone-dimension oracle enumerates every complete binary instance
 tree of a given depth (node values range over the whole domain) and checks
 all 2^depth root-to-leaf labelings directly against the member rows. It
 shares no code with the recursive computation it cross-checks.
+
+The per-ordering oracle runs one fresh learner object per ordering through
+`run`, the single-sequence reference, to cross-check the batched kernel.
 """
 
 from itertools import product
 
 import numpy as np
 
-from regretlab import FiniteHypothesisClass, VersionSpace
+from regretlab import FiniteHypothesisClass, Sampled, Sequence, VersionSpace, run
 
 _TREE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -66,3 +69,24 @@ def ldim_by_enumeration(cls: FiniteHypothesisClass, members: VersionSpace | None
     while exists_shattered_tree(cls, members, depth + 1):
         depth += 1
     return depth
+
+
+def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orders, mode, first_index=0):
+    """(expected mistakes, realized max) per ordering, and whether any round was randomized.
+
+    Ordering k is `base` reordered by orders[k]; in sampled mode its draws are
+    seeded with mode.seed + (first_index + k,), the harness seeding rule.
+    """
+    expected, realized, randomized = [], [], False
+    for k, order in enumerate(orders):
+        seq = tuple(base.examples[i] for i in order)
+        perm_mode = mode
+        if isinstance(mode, Sampled):
+            seed = tuple(mode.seed) if isinstance(mode.seed, tuple) else (mode.seed,)
+            perm_mode = Sampled(seed + (first_index + k,), mode.trials)
+        trace = run(config, cls, seq, perm_mode, collect_rounds=False)
+        expected.append(trace.expected_mistakes)
+        if trace.trial_mistakes is not None:
+            realized.append(int(trace.trial_mistakes.max()))
+        randomized = randomized or trace.randomized_rounds > 0
+    return expected, realized, randomized

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from regretlab import experiments
 from regretlab import (
     ExperimentCase,
     LearnerConfig,
@@ -121,6 +122,32 @@ def test_jobs_do_not_change_results():
     parallel = evaluate(LearnerConfig("wm"), case, stream, jobs=2)
     assert serial.expected_mistakes == parallel.expected_mistakes
     assert serial.max_mistakes == parallel.max_mistakes
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    case, cls, stream = small_stream(T=5, d=3)
+    capped = evaluate(LearnerConfig("wm_halving"), case, stream, mode=Sampled(4, 2), jobs=1000)
+    assert recorded == [3]
+    serial = evaluate(LearnerConfig("wm_halving"), case, stream, mode=Sampled(4, 2), jobs=1)
+    assert recorded == [3]
+    assert capped == serial
 
 
 def test_sampled_permutations_reproducible():

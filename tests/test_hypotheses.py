@@ -205,3 +205,20 @@ def test_per_round_errors_complement_votes(case):
         errors = int((advice != y).sum())
         agreeing = int((advice == y).sum())
         assert errors == cls.d - agreeing
+
+
+@given(
+    st.integers(1, 20).flatmap(
+        lambda d: st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=d * n, max_size=d * n).map(
+                lambda bits: np.array(bits).reshape(d, n)
+            )
+        )
+    )
+)
+def test_ones_masks_match_bit_loop(table):
+    # d runs past 8 and 16, so the packed masks span partial bytes
+    cls = make_class(table)
+    for j in range(cls.n):
+        want = sum(1 << i for i in range(cls.d) if table[i, j])
+        assert cls.ones_mask(j) == want

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretlab import (
+    ANALYTIC,
     DimensionMismatch,
     LdimComputer,
     LearnerConfig,
@@ -13,15 +14,26 @@ from regretlab import (
     Sampled,
     Sequence,
     WeightedMajority,
+    UnknownInstance,
     WrongPhase,
     eta_for,
     mistake_profile,
     restrict,
     run,
+    run_batch,
     wm_weights,
 )
-from regretlab.learners import consistent_label, halving_votes, _HalvingEngine, _SoaEngine
+from regretlab import learners
+from regretlab.learners import (
+    LEARNER_KINDS,
+    TIE_BREAKS,
+    consistent_label,
+    halving_votes,
+    _HalvingEngine,
+    _SoaEngine,
+)
 
+from . import oracles
 from .conftest import make_class, seq_of
 
 
@@ -326,3 +338,89 @@ def test_expected_mistakes_within_horizon(case):
     cls, pairs = case
     trace = run(LearnerConfig("wm"), cls, seq_of(pairs))
     assert 0.0 <= trace.expected_mistakes <= len(pairs)
+
+
+def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, all_ones8):
+    monkeypatch.setattr(learners, "SAMPLE_BLOCK_DRAWS", 5 * len(all_ones8))  # 5 passes a block
+    trace = run(LearnerConfig("wm"), threshold8, all_ones8, Sampled(seed=3, trials=23))
+    p_one = np.array([r.p_one for r in trace.rounds])
+    truth = np.array([r.y == 1 for r in trace.rounds])
+    wrong = (np.random.default_rng(3).random((23, len(all_ones8))) < p_one) != truth
+    assert trace.trial_mistakes.tolist() == wrong.sum(axis=1).tolist()
+    assert [r.mistake_prob for r in trace.rounds] == wrong.mean(axis=0).tolist()
+
+
+# --- batched kernel ---------------------------------------------------------------
+
+
+@st.composite
+def batch_inputs(draw):
+    """A random class (d, n <= 6), a sequence (T <= 6) and a few orderings of it."""
+    cls = make_class(draw(small_tables))
+    T = draw(st.integers(1, 6))
+    xs = [draw(st.integers(0, cls.n - 1)) for _ in range(T)]
+    if draw(st.booleans()):  # realizable: labeled by one member of the class
+        target = draw(st.integers(0, cls.d - 1))
+        ys = [int(cls.table[target, x]) for x in xs]
+    else:
+        ys = [draw(st.integers(0, 1)) for _ in range(T)]
+    orders = draw(st.lists(st.permutations(range(T)), min_size=1, max_size=8))
+    return cls, seq_of(zip(xs, ys)), orders
+
+
+modes = st.one_of(
+    st.just(ANALYTIC),
+    st.builds(
+        Sampled,
+        seed=st.one_of(st.integers(0, 99), st.tuples(st.integers(0, 99), st.integers(0, 1))),
+        trials=st.integers(1, 4),
+    ),
+)
+
+
+def assert_kernel_matches_reference(config, cls, base, orders, mode, first_index):
+    try:
+        want_expected, want_realized, want_randomized = oracles.per_ordering_values(
+            config, cls, base, orders, mode, first_index
+        )
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            run_batch(config, cls, base, orders, mode, first_index)
+        return
+    expected, realized, randomized = run_batch(config, cls, base, orders, mode, first_index)
+    assert np.abs(expected - np.array(want_expected)).max() <= 1e-12
+    assert realized.tolist() == want_realized
+    assert randomized == want_randomized
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(
+    inputs=batch_inputs(),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    eta_variant=st.sampled_from(("sqrt8", "sqrt2")),
+    mode=modes,
+    first_index=st.integers(0, 50),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_kernel_matches_per_ordering_run(kind, inputs, tie_break, eta_variant, mode, first_index):
+    cls, base, orders = inputs
+    config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    assert_kernel_matches_reference(config, cls, base, orders, mode, first_index)
+
+
+@pytest.mark.parametrize("kind", ["wm_soa", "wm_halving", "soa"])
+def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_ones8, kind):
+    monkeypatch.setattr(learners, "BATCH_ORDERINGS", 7)
+    rng = np.random.default_rng(0)
+    orders = [tuple(int(i) for i in rng.permutation(8)) for _ in range(30)]
+    for base in (realizable8, all_ones8):
+        for mode in (ANALYTIC, Sampled((5, 1), trials=3)):
+            config = LearnerConfig(kind, tie_break="random")
+            assert_kernel_matches_reference(config, threshold8, base, orders, mode, 4)
+
+
+def test_batch_kernel_validates_inputs_before_any_round(threshold8):
+    with pytest.raises(UnknownInstance):
+        run_batch(LearnerConfig("wm"), threshold8, seq_of([(0, 1), (99, 0)]), [])
+    with pytest.raises(ValueError):
+        run_batch(LearnerConfig("wm"), threshold8, ((0, 1), (1, 2)), [])
