@@ -23,7 +23,8 @@ import numpy as np
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
 from .learners import ANALYTIC, Analytic, LearnerConfig, Sampled, run_batch
-from .learners import run  # noqa: F401  (perfbench/spans.py wraps `experiments.run`)
+# Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch.
+from .learners import run  # noqa: F401
 from .ldim import LdimComputer
 from .sequences import (
     REALIZABLE,

@@ -300,26 +300,36 @@ SAMPLE_BLOCK_DRAWS = 1 << 20  # uniform draws held in memory at once per sampled
 
 
 def sample_mistakes(
-    seed: int | tuple[int, ...], trials: int, p_one: np.ndarray, truth: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mistakes per trial, mistake frequency per round) of `trials` sampled passes.
+    seed: int | tuple[int, ...],
+    trials: int,
+    p_one: np.ndarray,
+    truth: np.ndarray,
+    keep_trials: bool = True,
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """(most mistakes in one pass, mistake frequency per round, mistakes per pass) of sampled passes.
 
-    Round t of each pass predicts 1 with probability p_one[t] against the
-    true label truth[t]. Draws are made in blocks of at most
+    Round t of each of `trials` passes predicts 1 with probability p_one[t]
+    against the true label truth[t]. Draws are made in blocks of at most
     SAMPLE_BLOCK_DRAWS numbers (at least one pass); the generator fills
-    sequentially, so the result equals a single (trials, T) draw.
+    sequentially, so the result equals a single (trials, T) draw. With
+    keep_trials=False the per-trial mistakes are not kept (None), and memory
+    does not grow with `trials`.
     """
     T = len(p_one)
     rng = np.random.default_rng(seed)
     rows = max(1, SAMPLE_BLOCK_DRAWS // max(T, 1))
-    trial_mistakes = np.empty(trials, dtype=np.int64)
+    trial_mistakes = np.empty(trials, dtype=np.int64) if keep_trials else None
+    most = 0
     wrong_per_round = np.zeros(T, dtype=np.int64)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         wrong = (rng.random((stop - start, T)) < p_one) != truth
-        trial_mistakes[start:stop] = wrong.sum(axis=1)
+        per_trial = wrong.sum(axis=1)
+        most = max(most, int(per_trial.max()))
+        if keep_trials:
+            trial_mistakes[start:stop] = per_trial
         wrong_per_round += wrong.sum(axis=0)
-    return trial_mistakes, wrong_per_round / trials
+    return most, wrong_per_round / trials, trial_mistakes
 
 
 @dataclass(frozen=True)
@@ -392,7 +402,7 @@ def run(
     analytic_probs = np.where(ys == 0, p_ones, 1.0 - p_ones)
     trial_mistakes = None
     if isinstance(mode, Sampled):
-        trial_mistakes, round_probs = sample_mistakes(mode.seed, mode.trials, p_ones, ys == 1)
+        _, round_probs, trial_mistakes = sample_mistakes(mode.seed, mode.trials, p_ones, ys == 1)
     else:
         round_probs = analytic_probs
 
@@ -459,15 +469,16 @@ def run_batch(
         positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
         ys = truth[positions]
         p_one, rand = _batch_p_one(config, cls, advice_of, cols[positions], ys, eta, computer)
-        randomized = randomized or bool(rand.any())
+        randomized = randomized or rand
         if isinstance(mode, Sampled):
             seed = _flatten_seed(mode.seed)
             totals = np.empty(len(batch))
             maxima = np.empty(len(batch), dtype=np.int64)
             for k in range(len(batch)):
-                trials, round_probs = sample_mistakes(seed + (index + k,), mode.trials, p_one[k], ys[k])
+                maxima[k], round_probs, _ = sample_mistakes(
+                    seed + (index + k,), mode.trials, p_one[k], ys[k], keep_trials=False
+                )
                 totals[k] = round_probs.sum()
-                maxima[k] = trials.max()
             expected.append(totals)
             realized.append(maxima)
         else:
@@ -488,8 +499,8 @@ def _batch_p_one(
     truth: np.ndarray,
     eta: float,
     computer: LdimComputer | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """P(predict 1) and randomized flags, (B, T) each, for B orderings at once.
+) -> tuple[np.ndarray, bool]:
+    """P(predict 1), (B, T), for B orderings at once, and whether any prediction was randomized.
 
     Row b holds ordering b's state: its expert mistake counts (wm and the
     hybrids) and its version space as a bool row (baselines and hybrids).
@@ -501,7 +512,7 @@ def _batch_p_one(
     mistakes = np.zeros((B, cls.d), dtype=np.int64)
     alive = np.ones((B, cls.d), dtype=bool)
     p_one = np.empty((B, T))
-    randomized = np.zeros((B, T), dtype=bool)
+    randomized = False
     for t in range(T):
         advice = advice_of[cols[:, t]]
         in_space = alive.any(axis=1) if engine else np.zeros(B, dtype=bool)
@@ -509,14 +520,15 @@ def _batch_p_one(
             raise WrongPhase("version space is empty; the sequence is not realizable")
         if in_space.any():
             rows = slice(None) if in_space.all() else in_space
-            p_one[rows, t], randomized[rows, t] = _engine_p_one(
+            p_one[rows, t], tied = _engine_p_one(
                 engine, config.tie_break, cls, alive[rows], advice[rows], cols[rows, t], computer
             )
+            randomized = randomized or tied
         if not in_space.all():
             rows = slice(None) if not in_space.any() else ~in_space
             w = wm_weights(mistakes[rows], eta)
             p_one[rows, t] = np.minimum(1.0, np.where(advice[rows], w, 0.0).sum(axis=1))
-            randomized[rows, t] = True
+            randomized = True
         y = truth[:, t, None]
         if engine:
             alive &= advice == y
@@ -533,8 +545,8 @@ def _engine_p_one(
     advice: np.ndarray,
     cols: np.ndarray,
     computer: LdimComputer | None,
-) -> tuple[np.ndarray, np.ndarray | bool]:
-    """(P(predict 1), randomized) of a version-space rule on rows with a non-empty space."""
+) -> tuple[np.ndarray, bool]:
+    """(P(predict 1), any prediction randomized) of a version-space rule on non-empty rows."""
     if engine == "consistent":  # the lowest surviving index
         first = alive.argmax(axis=1)
         return advice[np.arange(len(first)), first].astype(np.float64), False
@@ -544,6 +556,6 @@ def _engine_p_one(
         tie = ones == zeros
         p = (ones > zeros).astype(np.float64)
         p[tie] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
-        return p, tie if tie_break == "random" else False
+        return p, tie_break == "random" and bool(tie.any())
     labels = [soa_label(computer, mask, cls.ones_mask(j)) for mask, j in zip(bitmasks(alive), cols)]
     return np.array(labels, dtype=np.float64), False

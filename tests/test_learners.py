@@ -348,6 +348,9 @@ def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, 
     wrong = (np.random.default_rng(3).random((23, len(all_ones8))) < p_one) != truth
     assert trace.trial_mistakes.tolist() == wrong.sum(axis=1).tolist()
     assert [r.mistake_prob for r in trace.rounds] == wrong.mean(axis=0).tolist()
+    most, round_probs, trials = learners.sample_mistakes(3, 23, p_one, truth, keep_trials=False)
+    assert (most, trials) == (wrong.sum(axis=1).max(), None)
+    assert round_probs.tolist() == wrong.mean(axis=0).tolist()
 
 
 # --- batched kernel ---------------------------------------------------------------
