@@ -7,7 +7,6 @@ permutation-based evaluation harness with theoretical bound checks.
 """
 
 from .errors import (
-    DimensionMismatch,
     EmptyVersionSpace,
     FactorialCapExceeded,
     IndexOutOfRange,
@@ -37,12 +36,9 @@ from .learners import (
     ANALYTIC,
     Analytic,
     LearnerConfig,
-    Prediction,
     RunTrace,
     Sampled,
-    WeightedMajority,
     eta_for,
-    make_learner,
     run,
     run_batch,
     wm_weights,
@@ -54,14 +50,12 @@ from .sequences import (
     make_case_inputs,
     make_domain,
     make_threshold_class,
-    permutations,
 )
 
 __all__ = [
     "ANALYTIC",
     "Analytic",
     "BoundVerdict",
-    "DimensionMismatch",
     "EmptyVersionSpace",
     "ExperimentCase",
     "FactorialCapExceeded",
@@ -72,7 +66,6 @@ __all__ = [
     "LearnerConfig",
     "PermutationReport",
     "PermutationStream",
-    "Prediction",
     "RegretlabError",
     "RunTrace",
     "Sampled",
@@ -81,7 +74,6 @@ __all__ = [
     "UnknownInstance",
     "UnsupportedFormat",
     "VersionSpace",
-    "WeightedMajority",
     "WrongPhase",
     "best_mistakes",
     "check_bounds",
@@ -93,10 +85,8 @@ __all__ = [
     "ldim_witness_check",
     "make_case_inputs",
     "make_domain",
-    "make_learner",
     "make_threshold_class",
     "mistake_profile",
-    "permutations",
     "restrict",
     "run",
     "run_batch",

@@ -17,10 +17,6 @@ class EmptyVersionSpace(RegretlabError):
     """An operation requires at least one surviving hypothesis."""
 
 
-class DimensionMismatch(RegretlabError):
-    """An advice vector does not match the expert count."""
-
-
 class WrongPhase(RegretlabError):
     """A version-space prediction step ran with an empty version space."""
 

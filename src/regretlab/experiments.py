@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
-from .learners import ANALYTIC, Analytic, LearnerConfig, Sampled, run_batch
+from .learners import ANALYTIC, HYBRID_KINDS, Analytic, LearnerConfig, Sampled, run_batch
 # Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch.
 from .learners import run  # noqa: F401
 from .ldim import LdimComputer
@@ -129,17 +129,23 @@ def _chunk_values(args) -> tuple[np.ndarray, np.ndarray, bool]:
     return run_batch(config, cls, base, islice(stream.orders(), start, stop), mode, start)
 
 
+# Version-space mistake bound of each engine: (label, value for the class). It is the
+# realizable bound of the baseline and the head of its hybrid's agnostic bound.
+_BOUND_HEADS = {
+    "consistent": ("|H| - 1", lambda cls: cls.d - 1),
+    "halving": ("floor(log2 |H|)", lambda cls: cls.d.bit_length() - 1),
+    "soa": ("Ldim(H)", lambda cls: LdimComputer(cls).value(cls.full_space().mask)),
+}
+
+
 def _realizable_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float]:
     d = cls.d
-    if kind in ("consistent", "wm_consistent"):
-        return "mistakes <= |H| - 1", float(d - 1)
-    if kind in ("halving", "wm_halving"):
-        return "mistakes <= floor(log2 |H|)", float(d.bit_length() - 1)
-    if kind in ("soa", "wm_soa"):
-        return "mistakes <= Ldim(H)", float(LdimComputer(cls).value(cls.full_space().mask))
-    # wm: expected-mistake bound; with a perfect hypothesis it equals the regret bound
-    value = math.sqrt(0.5 * math.log(d) * T) if d > 1 else 0.0
-    return "expected mistakes <= sqrt(0.5 ln|H| T)", value
+    if kind == "wm":
+        # expected-mistake bound; with a perfect hypothesis it equals the regret bound
+        value = math.sqrt(0.5 * math.log(d) * T) if d > 1 else 0.0
+        return "expected mistakes <= sqrt(0.5 ln|H| T)", value
+    label, head_of = _BOUND_HEADS[kind.removeprefix("wm_")]
+    return f"mistakes <= {label}", float(head_of(cls))
 
 
 def _agnostic_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float] | None:
@@ -147,14 +153,10 @@ def _agnostic_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str,
     log_term = math.log(d) if d > 1 else 0.0
     if kind == "wm":
         return "expected regret <= sqrt(0.5 ln|H| T)", math.sqrt(0.5 * log_term * T)
-    if kind == "wm_consistent":
-        head, label = d - 1, "|H| - 1"
-    elif kind == "wm_halving":
-        head, label = d.bit_length() - 1, "floor(log2 |H|)"
-    elif kind == "wm_soa":
-        head, label = LdimComputer(cls).value(cls.full_space().mask), "Ldim(H)"
-    else:
+    if kind not in HYBRID_KINDS:
         return None  # version-space baselines have no agnostic guarantee
+    label, head_of = _BOUND_HEADS[kind.removeprefix("wm_")]
+    head = head_of(cls)
     rest = max(T - head, 0)
     return (
         f"expected regret <= {label} + sqrt(0.5 ln|H| (T - {label}))",

@@ -38,10 +38,6 @@ class Sequence:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def permuted(self, order: "list[int] | np.ndarray") -> "Sequence":
-        """Reorder the examples by position indices."""
-        return Sequence(tuple(self.examples[i] for i in order))
-
     def to_csv(self) -> str:
         """Render as CSV with columns t, x, y (t starts at 1)."""
         lines = ["t,x,y"]

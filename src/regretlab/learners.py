@@ -1,23 +1,25 @@
-"""Online learners behind one round-based protocol.
+"""Online learners as one state model and one batched round kernel.
 
-Every learner exposes ``predict(x) -> Prediction`` followed by
-``observe(x, y)``. Predictions are either a deterministic label or a
-probability of answering 1; the analytic run mode accumulates the exact
-per-round mistake probability (for the expert-advice learners this equals
-the current weight mass on wrong experts), so expectations over permutation
-streams need no Monte Carlo sampling. Sampled mode draws the answers from a
-seeded generator instead and is used to cross-check the analytic numbers.
+A learner's state is a pair: its version space (the hypotheses consistent
+with every example so far) and each expert's mistake count. Its prediction
+is a function of that state and the instance:
 
-Baselines: consistent, halving, soa (version-space learners, realizable
-sequences only). wm is the randomized expert-advice learner with weights
-exp(-eta * mistakes), normalized. The wm_* hybrids run their version-space
-engine until the space empties, then hand the accumulated expert mistake
-counts to the expert-advice core for the remaining rounds.
+- consistent: the label of the lowest surviving hypothesis;
+- halving: the majority vote of the survivors (ties by `tie_break`);
+- soa: the label whose restriction keeps the larger Littlestone dimension;
+- wm: P(predict 1) = the weight mass on 1, weights exp(-eta * mistakes);
+- wm_consistent, wm_halving, wm_soa: the engine while the version space is
+  non-empty, then wm on the same mistake counts.
 
-`run` drives one learner object over one sequence and keeps the per-round
-record. `run_batch` gives the same per-ordering totals for many orderings of
-one sequence at once: it advances every ordering of a batch together, one
-round at a time, on arrays of expert mistake counts and version spaces.
+The version-space baselines raise WrongPhase once their space empties (the
+sequence is not realizable). Analytic mode accumulates the exact per-round
+mistake probability, so expectations over permutation streams need no Monte
+Carlo sampling; sampled mode draws the answers from a seeded generator and
+cross-checks the analytic numbers.
+
+`_batch_p_one` advances many orderings of one sequence together, one round
+at a time. `run_batch` gives per-ordering totals over many orderings; `run`
+is its one-ordering case and keeps the per-round record.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, WrongPhase
-from .hypotheses import FiniteHypothesisClass, Sequence, VersionSpace, bitmasks, restrict
+from .errors import WrongPhase
+from .hypotheses import FiniteHypothesisClass, Sequence, bitmasks, mistake_profile
+# Not called here: kept as the attribute perfbench/spans.py wraps as `learners.restrict`.
+from .hypotheses import restrict  # noqa: F401
 from .ldim import LdimComputer
 
 BASELINE_KINDS = ("consistent", "halving", "soa")
@@ -73,95 +77,11 @@ class LearnerConfig:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A deterministic label (p_one in {0, 1}) or P(predict 1) = p_one."""
-
-    p_one: float
-    randomized: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_one <= 1.0:
-            raise ValueError(f"p_one must lie in [0, 1], got {self.p_one}")
-
-    @classmethod
-    def label(cls, y: int) -> "Prediction":
-        return cls(float(y), randomized=False)
-
-    @classmethod
-    def prob(cls, p: float) -> "Prediction":
-        return cls(float(p), randomized=True)
-
-
 def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
     """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability."""
     m = np.asarray(mistakes, dtype=np.float64)
     w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
     return w / w.sum(axis=-1, keepdims=True)
-
-
-class WeightedMajority:
-    """Randomized expert-advice core: weights decay with expert mistakes."""
-
-    def __init__(self, d: int, eta: float, mistakes: np.ndarray | None = None):
-        self.d = d
-        self.eta = eta
-        self.mistakes = (
-            np.zeros(d, dtype=np.int64) if mistakes is None else np.asarray(mistakes, np.int64)
-        )
-        if self.mistakes.shape != (d,):
-            raise DimensionMismatch(f"mistake vector must have length {d}")
-
-    def _check(self, advice: np.ndarray) -> np.ndarray:
-        advice = np.asarray(advice)
-        if advice.shape != (self.d,):
-            raise DimensionMismatch(f"advice must have length {self.d}, got {advice.shape}")
-        return advice
-
-    def weights(self) -> np.ndarray:
-        return wm_weights(self.mistakes, self.eta)
-
-    def predict_from_advice(self, advice: np.ndarray) -> Prediction:
-        advice = self._check(advice)
-        p_hat = float(self.weights()[advice == 1].sum())
-        return Prediction.prob(min(1.0, p_hat))
-
-    def update_from_advice(self, advice: np.ndarray, y: int) -> None:
-        advice = self._check(advice)
-        self.mistakes += advice != y
-
-
-def consistent_label(cls: FiniteHypothesisClass, space: VersionSpace, x: int) -> int:
-    """Prediction of the lowest-indexed surviving hypothesis."""
-    return cls.evaluate(space.min_index(), x)
-
-
-def halving_votes(cls: FiniteHypothesisClass, space: VersionSpace, x: int) -> tuple[int, int]:
-    """(votes for 0, votes for 1) among the surviving hypotheses."""
-    ones = (space.mask & cls.ones_mask(cls.column_index(x))).bit_count()
-    return len(space) - ones, ones
-
-
-class _ConsistentEngine:
-    def __init__(self, cls: FiniteHypothesisClass, config: LearnerConfig):
-        self.cls = cls
-
-    def predict(self, space: VersionSpace, x: int) -> Prediction:
-        return Prediction.label(consistent_label(self.cls, space, x))
-
-
-class _HalvingEngine:
-    def __init__(self, cls: FiniteHypothesisClass, config: LearnerConfig):
-        self.cls = cls
-        self.tie_break = config.tie_break
-
-    def predict(self, space: VersionSpace, x: int) -> Prediction:
-        zeros, ones = halving_votes(self.cls, space, x)
-        if ones != zeros:
-            return Prediction.label(1 if ones > zeros else 0)
-        if self.tie_break == "random":
-            return Prediction.prob(0.5)
-        return Prediction.label(1 if self.tie_break == "one" else 0)
 
 
 def soa_label(computer: LdimComputer, mask: int, ones: int) -> int:
@@ -175,106 +95,6 @@ def soa_label(computer: LdimComputer, mask: int, ones: int) -> int:
     l1 = computer.value(m1) if m1 else -1
     l0 = computer.value(m0) if m0 else -1
     return 1 if l1 >= l0 else 0
-
-
-class _SoaEngine:
-    """SOA prediction; the Ldim memo is owned by this engine and so by a single run."""
-
-    def __init__(self, cls: FiniteHypothesisClass, config: LearnerConfig):
-        self.cls = cls
-        self.computer = LdimComputer(cls)
-
-    def predict(self, space: VersionSpace, x: int) -> Prediction:
-        ones = self.cls.ones_mask(self.cls.column_index(x))
-        return Prediction.label(soa_label(self.computer, space.mask, ones))
-
-
-_ENGINES = {"consistent": _ConsistentEngine, "halving": _HalvingEngine, "soa": _SoaEngine}
-
-
-class VersionSpaceLearner:
-    """Pure realizable-phase learner; raises WrongPhase once the space empties."""
-
-    def __init__(self, config: LearnerConfig, cls: FiniteHypothesisClass, T: int):
-        self.cls = cls
-        self.engine = _ENGINES[config.kind](cls, config)
-        self.space = cls.full_space()
-
-    def predict(self, x: int) -> Prediction:
-        if not self.space:
-            raise WrongPhase("version space is empty; the sequence is not realizable")
-        return self.engine.predict(self.space, x)
-
-    def observe(self, x: int, y: int) -> None:
-        self.space = restrict(self.space, self.cls, x, y)
-
-
-class WmLearner:
-    """Expert-advice learner bound to a hypothesis class for advice lookup."""
-
-    def __init__(self, config: LearnerConfig, cls: FiniteHypothesisClass, T: int):
-        self.cls = cls
-        self.core = WeightedMajority(cls.d, eta_for(cls.d, T, config.eta_variant))
-
-    @property
-    def mistakes(self) -> np.ndarray:
-        return self.core.mistakes
-
-    def predict(self, x: int) -> Prediction:
-        return self.core.predict_from_advice(self.cls.column(x))
-
-    def observe(self, x: int, y: int) -> None:
-        self.core.update_from_advice(self.cls.column(x), y)
-
-
-class HybridLearner:
-    """Version-space engine until the space empties, expert advice afterwards.
-
-    Expert mistake counts are maintained in both phases, so the expert-advice
-    core starts from the state it would have reached had it run from round 1.
-    The switch happens exactly once; at that point every hypothesis has been
-    wrong at least once (otherwise the space could not be empty).
-    """
-
-    def __init__(self, config: LearnerConfig, cls: FiniteHypothesisClass, T: int):
-        self.cls = cls
-        engine_kind = config.kind.removeprefix("wm_")
-        self.engine = _ENGINES[engine_kind](cls, config)
-        self.space = cls.full_space()
-        self.core = WeightedMajority(cls.d, eta_for(cls.d, T, config.eta_variant))
-        self.round = 0
-        self.switch_round: int | None = None
-        self.min_mistakes_at_switch: int | None = None
-
-    @property
-    def mistakes(self) -> np.ndarray:
-        return self.core.mistakes
-
-    def predict(self, x: int) -> Prediction:
-        if self.space:
-            return self.engine.predict(self.space, x)
-        return self.core.predict_from_advice(self.cls.column(x))
-
-    def observe(self, x: int, y: int) -> None:
-        advice = self.cls.column(x)
-        if self.space:
-            new_space = restrict(self.space, self.cls, x, y)
-            self.core.update_from_advice(advice, y)
-            if not new_space and self.switch_round is None:
-                self.switch_round = self.round + 1
-                self.min_mistakes_at_switch = int(self.core.mistakes.min())
-            self.space = new_space
-        else:
-            self.core.update_from_advice(advice, y)
-        self.round += 1
-
-
-def make_learner(config: LearnerConfig, cls: FiniteHypothesisClass, T: int):
-    if config.kind in BASELINE_KINDS:
-        return VersionSpaceLearner(config, cls, T)
-    if config.kind == "wm":
-        return WmLearner(config, cls, T)
-    return HybridLearner(config, cls, T)
 
 
 @dataclass(frozen=True)
@@ -376,35 +196,38 @@ def run(
     mode: Analytic | Sampled = ANALYTIC,
     collect_rounds: bool = True,
 ) -> RunTrace:
-    """Drive one learner over one sequence.
+    """Drive one learner over one sequence: the one-ordering case of the batched kernel.
 
     Analytic mode is deterministic: each round contributes its exact mistake
     probability. Sampled mode replays the same per-round prediction
     probabilities through a seeded generator; learner state never depends on
     the learner's own predictions, so the probabilities are shared across
     trials. Deterministic learners produce identical traces in both modes.
+    A hybrid whose version space empties reports switch_round, the number of
+    rounds its engine predicted, and the fewest mistakes any expert made in
+    them.
     """
     examples = tuple(seq)
-    learner = make_learner(config, cls, len(examples))
+    cols, truth = _rounds(cls, examples)
+    computer = LdimComputer(cls) if config.kind.endswith("soa") else None
+    p_ones, engine_rounds, alive = _batch_p_one(config, cls, cols[None], truth[None], computer)
+    p_ones = p_ones[0]
+    # every wm-phase round is randomized; an engine predicts a label, 0 or 1,
+    # or the fair coin 0.5 of a random halving tie
+    randomized = (np.arange(len(examples)) >= engine_rounds[0]) | (p_ones == 0.5)
 
-    p_ones = np.empty(len(examples))
-    randomized = np.empty(len(examples), dtype=bool)
-    ys = np.empty(len(examples), dtype=np.int8)
-    for t, (x, y) in enumerate(examples):
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
-        pred = learner.predict(x)
-        learner.observe(x, y)
-        p_ones[t] = pred.p_one
-        randomized[t] = pred.randomized
-        ys[t] = y
-
-    analytic_probs = np.where(ys == 0, p_ones, 1.0 - p_ones)
+    analytic_probs = np.where(truth, 1.0 - p_ones, p_ones)
     trial_mistakes = None
     if isinstance(mode, Sampled):
-        _, round_probs, trial_mistakes = sample_mistakes(mode.seed, mode.trials, p_ones, ys == 1)
+        _, round_probs, trial_mistakes = sample_mistakes(mode.seed, mode.trials, p_ones, truth)
     else:
         round_probs = analytic_probs
+
+    switch_round = min_mistakes_at_switch = None
+    if config.kind in HYBRID_KINDS and not alive.any():
+        switch_round = int(engine_rounds[0])
+        prefix = Sequence(examples[:switch_round])
+        min_mistakes_at_switch = int(mistake_profile(cls, prefix).min())
 
     deterministic = int(analytic_probs[~randomized].sum())
     rounds: list[RoundRecord] = []
@@ -418,8 +241,8 @@ def run(
         expected_mistakes=float(round_probs.sum()),
         deterministic_mistakes=deterministic,
         randomized_rounds=int(randomized.sum()),
-        switch_round=getattr(learner, "switch_round", None),
-        min_mistakes_at_switch=getattr(learner, "min_mistakes_at_switch", None),
+        switch_round=switch_round,
+        min_mistakes_at_switch=min_mistakes_at_switch,
         trial_mistakes=trial_mistakes,
     )
 
@@ -429,6 +252,16 @@ BATCH_ORDERINGS = 1024  # orderings advanced together; bounds memory at T = 9 (9
 
 def _flatten_seed(seed) -> tuple[int, ...]:
     return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+
+
+def _rounds(cls: FiniteHypothesisClass, examples) -> tuple[np.ndarray, np.ndarray]:
+    """(column index, label == 1) of each example; every example is checked before any round."""
+    for _, y in examples:
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
+    cols = np.array([cls.column_index(x) for x, _ in examples], dtype=np.intp)
+    truth = np.array([y == 1 for _, y in examples], dtype=bool)
+    return cols, truth
 
 
 def run_batch(
@@ -451,14 +284,8 @@ def run_batch(
     the SOA rule depends only on the version space.
     """
     examples = tuple(base)
-    for _, y in examples:
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
     T = len(examples)
-    cols = np.array([cls.column_index(x) for x, _ in examples], dtype=np.intp)
-    truth = np.array([y == 1 for _, y in examples], dtype=bool)
-    advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
-    eta = eta_for(cls.d, T, config.eta_variant)
+    cols, truth = _rounds(cls, examples)
     computer = LdimComputer(cls) if config.kind.endswith("soa") else None
 
     expected, realized = [], []
@@ -468,8 +295,9 @@ def run_batch(
     while batch := list(islice(orders, BATCH_ORDERINGS)):
         positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
         ys = truth[positions]
-        p_one, rand = _batch_p_one(config, cls, advice_of, cols[positions], ys, eta, computer)
-        randomized = randomized or rand
+        p_one, engine_rounds, _ = _batch_p_one(config, cls, cols[positions], ys, computer)
+        # any wm-phase round or random halving tie, as `run` flags them per round
+        randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
         if isinstance(mode, Sampled):
             seed = _flatten_seed(mode.seed)
             totals = np.empty(len(batch))
@@ -494,47 +322,55 @@ def run_batch(
 def _batch_p_one(
     config: LearnerConfig,
     cls: FiniteHypothesisClass,
-    advice_of: np.ndarray,
     cols: np.ndarray,
     truth: np.ndarray,
-    eta: float,
     computer: LdimComputer | None,
-) -> tuple[np.ndarray, bool]:
-    """P(predict 1), (B, T), for B orderings at once, and whether any prediction was randomized.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(predict 1), (B, T), for B orderings at once, each row's engine round count, and
+    the final version spaces.
 
     Row b holds ordering b's state: its expert mistake counts (wm and the
     hybrids) and its version space as a bool row (baselines and hybrids).
-    Round t's advice is advice_of[cols[:, t]], one (B, d) array.
+    Round t's advice is advice_of[cols[:, t]], one (B, d) array. A version
+    space never grows, so the engine (soa needs `computer`) predicts in the
+    first engine_rounds[b] rounds of row b and wm in the rest.
     """
     B, T = cols.shape
     kind = config.kind
     engine = None if kind == "wm" else kind.removeprefix("wm_")
+    advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
+    eta = eta_for(cls.d, T, config.eta_variant)
     mistakes = np.zeros((B, cls.d), dtype=np.int64)
     alive = np.ones((B, cls.d), dtype=bool)
+    engine_rounds = np.zeros(B, dtype=np.int64)
+    rounds_all_in_space = 0  # counted apart so the common round costs no array update
     p_one = np.empty((B, T))
-    randomized = False
     for t in range(T):
         advice = advice_of[cols[:, t]]
         in_space = alive.any(axis=1) if engine else np.zeros(B, dtype=bool)
-        if kind in BASELINE_KINDS and not in_space.all():
+        all_in, any_in = bool(in_space.all()), bool(in_space.any())
+        if kind in BASELINE_KINDS and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
-        if in_space.any():
-            rows = slice(None) if in_space.all() else in_space
-            p_one[rows, t], tied = _engine_p_one(
+        if any_in:
+            if all_in:
+                rows = slice(None)
+                rounds_all_in_space += 1
+            else:
+                rows = in_space
+                engine_rounds += in_space
+            p_one[rows, t] = _engine_p_one(
                 engine, config.tie_break, cls, alive[rows], advice[rows], cols[rows, t], computer
             )
-            randomized = randomized or tied
-        if not in_space.all():
-            rows = slice(None) if not in_space.any() else ~in_space
+        if not all_in:
+            rows = ~in_space if any_in else slice(None)
             w = wm_weights(mistakes[rows], eta)
             p_one[rows, t] = np.minimum(1.0, np.where(advice[rows], w, 0.0).sum(axis=1))
-            randomized = True
         y = truth[:, t, None]
         if engine:
             alive &= advice == y
         if kind not in BASELINE_KINDS:
             mistakes += advice != y
-    return p_one, randomized
+    return p_one, engine_rounds + rounds_all_in_space, alive
 
 
 def _engine_p_one(
@@ -545,17 +381,16 @@ def _engine_p_one(
     advice: np.ndarray,
     cols: np.ndarray,
     computer: LdimComputer | None,
-) -> tuple[np.ndarray, bool]:
-    """(P(predict 1), any prediction randomized) of a version-space rule on non-empty rows."""
+) -> np.ndarray:
+    """P(predict 1) of a version-space rule on non-empty rows."""
     if engine == "consistent":  # the lowest surviving index
         first = alive.argmax(axis=1)
-        return advice[np.arange(len(first)), first].astype(np.float64), False
+        return advice[np.arange(len(first)), first].astype(np.float64)
     if engine == "halving":
         ones = (alive & advice).sum(axis=1)
         zeros = alive.sum(axis=1) - ones
-        tie = ones == zeros
         p = (ones > zeros).astype(np.float64)
-        p[tie] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
-        return p, tie_break == "random" and bool(tie.any())
+        p[ones == zeros] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
+        return p
     labels = [soa_label(computer, mask, cls.ones_mask(j)) for mask, j in zip(bitmasks(alive), cols)]
-    return np.array(labels, dtype=np.float64), False
+    return np.array(labels, dtype=np.float64)

@@ -109,8 +109,3 @@ class PermutationStream:
             for _ in range(self.count):
                 yield tuple(int(i) for i in rng.permutation(T))
 
-
-def permutations(stream: PermutationStream) -> Iterator[Sequence]:
-    """Yield every permuted sequence of the stream."""
-    for order in stream.orders():
-        yield stream.base.permuted(order)

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from regretlab import (
     ANALYTIC,
-    DimensionMismatch,
     LdimComputer,
     LearnerConfig,
-    Prediction,
     Sampled,
     Sequence,
-    WeightedMajority,
     UnknownInstance,
     WrongPhase,
     eta_for,
@@ -24,123 +21,123 @@ from regretlab import (
     wm_weights,
 )
 from regretlab import learners
-from regretlab.learners import (
-    LEARNER_KINDS,
-    TIE_BREAKS,
-    consistent_label,
-    halving_votes,
-    _HalvingEngine,
-    _SoaEngine,
-)
+from regretlab.learners import HYBRID_KINDS, LEARNER_KINDS, TIE_BREAKS
 
 from . import oracles
 from .conftest import make_class, seq_of
+
+
+def last_round(kind, cls, prefix, x, **config):
+    """The final round record of `kind` run over `prefix` and then one query at x."""
+    return run(LearnerConfig(kind, **config), cls, seq_of([*prefix, (x, 0)])).rounds[-1]
+
+
+def survivors(cls, prefix):
+    """Indices of the hypotheses consistent with every example of the prefix."""
+    return np.flatnonzero(mistake_profile(cls, seq_of(prefix)) == 0).tolist()
 
 
 # --- realizable-phase engines -----------------------------------------------
 
 
 def test_consistent_all_agree(threshold8):
-    assert consistent_label(threshold8, threshold8.full_space(), -3) == 0
+    assert last_round("consistent", threshold8, [], -3).p_one == 0
 
 
 def test_consistent_min_index_rule(threshold8):
     # the lowest-indexed member is h_0, which labels 1 past the origin
-    assert consistent_label(threshold8, threshold8.full_space(), 1) == 1
+    assert last_round("consistent", threshold8, [], 1).p_one == 1
 
 
 def test_consistent_singleton(threshold8):
-    from regretlab import VersionSpace
-
-    space = VersionSpace.of([3], 5)
+    prefix = [(3, 0), (4, 1)]
+    assert survivors(threshold8, prefix) == [3]
     for x in threshold8.domain:
-        assert consistent_label(threshold8, space, x) == threshold8.evaluate(3, x)
+        assert last_round("consistent", threshold8, prefix, x).p_one == threshold8.evaluate(3, x)
 
 
 def test_halving_majority(threshold8):
-    engine = _HalvingEngine(threshold8, LearnerConfig("halving"))
-    assert halving_votes(threshold8, threshold8.full_space(), 1) == (4, 1)
-    assert engine.predict(threshold8.full_space(), 1) == Prediction.label(0)
+    ones = int(threshold8.column(1).sum())
+    assert (threshold8.d - ones, ones) == (4, 1)  # votes for 0 and for 1
+    record = last_round("halving", threshold8, [], 1)
+    assert (record.p_one, record.randomized) == (0, False)
 
 
 def test_halving_tie_goes_to_one():
     cls = make_class([[0, 1], [1, 0]])
-    engine = _HalvingEngine(cls, LearnerConfig("halving"))
-    assert engine.predict(cls.full_space(), 0) == Prediction.label(1)
+    record = last_round("halving", cls, [], 0)
+    assert (record.p_one, record.randomized) == (1, False)
 
 
 def test_halving_tie_variants():
     cls = make_class([[0, 1], [1, 0]])
-    zero = _HalvingEngine(cls, LearnerConfig("halving", tie_break="zero"))
-    coin = _HalvingEngine(cls, LearnerConfig("halving", tie_break="random"))
-    assert zero.predict(cls.full_space(), 0) == Prediction.label(0)
-    assert coin.predict(cls.full_space(), 0) == Prediction.prob(0.5)
+    zero = last_round("halving", cls, [], 0, tie_break="zero")
+    coin = last_round("halving", cls, [], 0, tie_break="random")
+    assert (zero.p_one, zero.randomized) == (0, False)
+    assert (coin.p_one, coin.randomized) == (0.5, True)
 
 
 def test_halving_singleton(threshold8):
-    from regretlab import VersionSpace
-
-    engine = _HalvingEngine(threshold8, LearnerConfig("halving"))
-    space = VersionSpace.of([2], 5)
-    assert engine.predict(space, 3) == Prediction.label(threshold8.evaluate(2, 3))
+    prefix = [(2, 0), (3, 1)]
+    assert survivors(threshold8, prefix) == [2]
+    assert last_round("halving", threshold8, prefix, 3).p_one == threshold8.evaluate(2, 3)
 
 
 def test_soa_tie_goes_to_one(quad_class):
-    engine = _SoaEngine(quad_class, LearnerConfig("soa"))
     # both restriction sides at the splitting point have dimension 1
-    assert engine.predict(quad_class.full_space(), 0) == Prediction.label(1)
+    record = last_round("soa", quad_class, [], 0)
+    assert (record.p_one, record.randomized) == (1, False)
 
 
 def test_soa_prefers_larger_dimension(threshold8):
-    engine = _SoaEngine(threshold8, LearnerConfig("soa"))
-    assert engine.predict(threshold8.full_space(), 1) == Prediction.label(0)
+    assert last_round("soa", threshold8, [], 1).p_one == 0
 
 
 def test_soa_singleton(threshold8):
-    from regretlab import VersionSpace
-
-    engine = _SoaEngine(threshold8, LearnerConfig("soa"))
-    space = VersionSpace.of([1], 5)
-    assert engine.predict(space, 2) == Prediction.label(1)
+    prefix = [(1, 0), (2, 1)]
+    assert survivors(threshold8, prefix) == [1]
+    assert last_round("soa", threshold8, prefix, 2).p_one == 1
 
 
-# --- weighted majority core --------------------------------------------------
+# --- weighted majority ---------------------------------------------------------
 
 
 def test_wm_fresh_all_ones_advice():
-    core = WeightedMajority(4, eta=0.5)
-    assert core.predict_from_advice(np.array([1, 1, 1, 1])).p_one == pytest.approx(1.0)
+    assert wm_weights(np.zeros(4), 0.5)[np.array([1, 1, 1, 1]) == 1].sum() == pytest.approx(1.0)
+    cls = make_class([[1], [1], [1], [1]], domain=[0])
+    assert last_round("wm", cls, [], 0).p_one == pytest.approx(1.0)
 
 
 def test_wm_fresh_uniform_split():
-    core = WeightedMajority(2, eta=0.7)
-    assert core.predict_from_advice(np.array([1, 0])).p_one == pytest.approx(0.5)
+    assert wm_weights(np.zeros(2), 0.7)[np.array([1, 0]) == 1].sum() == pytest.approx(0.5)
+    cls = make_class([[1], [0]], domain=[0])
+    assert last_round("wm", cls, [], 0).p_one == pytest.approx(0.5)
 
 
 def test_wm_weighted_prediction_exact():
-    core = WeightedMajority(2, eta=math.log(2), mistakes=np.array([1, 0]))
-    pred = core.predict_from_advice(np.array([1, 0]))
-    assert pred.p_one == pytest.approx(1 / 3, abs=1e-12)
-    assert pred.randomized
+    w = wm_weights(np.array([1, 0]), math.log(2))
+    assert w[np.array([1, 0]) == 1].sum() == pytest.approx(1 / 3, abs=1e-12)
+    # expert 0 errs at x=0; at x=1 the mass on its vote is its weight at the run's eta
+    cls = make_class([[1, 1], [0, 0]])
+    record = last_round("wm", cls, [(0, 0)], 1)
+    eta = eta_for(2, 2)
+    assert record.p_one == pytest.approx(math.exp(-eta) / (1 + math.exp(-eta)), abs=1e-12)
+    assert record.randomized
 
 
-def test_wm_update_counts(threshold8, realizable8):
-    core = WeightedMajority(5, eta=1.0)
-    advice = threshold8.column(1)
-    core.update_from_advice(advice, 1)
-    assert core.mistakes.tolist() == [0, 1, 1, 1, 1]
-    core.update_from_advice(np.array([1, 1, 1, 1, 1]), 1)  # all correct
-    assert core.mistakes.tolist() == [0, 1, 1, 1, 1]
-    core.update_from_advice(np.array([0, 0, 0, 0, 0]), 1)  # all wrong
-    assert core.mistakes.tolist() == [1, 2, 2, 2, 2]
-
-
-def test_wm_dimension_mismatch():
-    core = WeightedMajority(3, eta=0.1)
-    with pytest.raises(DimensionMismatch):
-        core.predict_from_advice(np.array([1, 0]))
-    with pytest.raises(DimensionMismatch):
-        core.update_from_advice(np.array([1, 0, 1, 0]), 1)
+def test_wm_update_counts(threshold8):
+    # columns: threshold8's advice at 1, all experts right, all wrong, then a probe
+    probe = np.array([1, 1, 0, 0, 0])
+    table = np.column_stack([threshold8.column(1), np.ones(5), np.zeros(5), probe])
+    cls = make_class(table)
+    for rounds, mistakes in (
+        (1, [0, 1, 1, 1, 1]),
+        (2, [0, 1, 1, 1, 1]),  # all correct
+        (3, [1, 2, 2, 2, 2]),  # all wrong
+    ):
+        prefix = [(0, 1), (1, 1), (2, 1)][:rounds]
+        w = wm_weights(np.array(mistakes), eta_for(5, rounds + 1))
+        assert last_round("wm", cls, prefix, 3).p_one == pytest.approx(w[probe == 1].sum(), abs=1e-12)
 
 
 @given(
@@ -288,18 +285,20 @@ def class_with_labels(draw, max_len=12):
     return cls, pairs
 
 
+def engine_rounds(trace, pairs):
+    """Rounds in which a hybrid's version-space engine predicted."""
+    return len(pairs) if trace.switch_round is None else trace.switch_round
+
+
 @given(class_with_labels())
 @settings(max_examples=100, deadline=None)
 def test_halving_mistake_halves_space(case):
     cls, pairs = case
-    engine = _HalvingEngine(cls, LearnerConfig("halving"))
+    trace = run(LearnerConfig("wm_halving"), cls, seq_of(pairs))
     space = cls.full_space()
-    for x, y in pairs:
-        if not space:
-            break
-        pred = engine.predict(space, x)
+    for (x, y), record in zip(pairs, trace.rounds[: engine_rounds(trace, pairs)]):
         new_space = restrict(space, cls, x, y)
-        if pred.p_one != y:
+        if record.p_one != y:
             assert len(new_space) <= len(space) // 2
         space = new_space
 
@@ -308,15 +307,12 @@ def test_halving_mistake_halves_space(case):
 @settings(max_examples=60, deadline=None)
 def test_soa_mistake_drops_dimension(case):
     cls, pairs = case
-    engine = _SoaEngine(cls, LearnerConfig("soa"))
+    trace = run(LearnerConfig("wm_soa"), cls, seq_of(pairs))
     computer = LdimComputer(cls)
     space = cls.full_space()
-    for x, y in pairs:
-        if not space:
-            break
-        pred = engine.predict(space, x)
+    for (x, y), record in zip(pairs, trace.rounds[: engine_rounds(trace, pairs)]):
         new_space = restrict(space, cls, x, y)
-        if pred.p_one != y and new_space:
+        if record.p_one != y and new_space:
             assert computer.value(new_space.mask) <= computer.value(space.mask) - 1
         space = new_space
 
@@ -357,18 +353,25 @@ def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, 
 
 
 @st.composite
-def batch_inputs(draw):
-    """A random class (d, n <= 6), a sequence (T <= 6) and a few orderings of it."""
+def class_and_sequence(draw, max_len=6):
+    """A random class (d, n <= 6) and a sequence (1 <= T <= max_len), realizable or not."""
     cls = make_class(draw(small_tables))
-    T = draw(st.integers(1, 6))
+    T = draw(st.integers(1, max_len))
     xs = [draw(st.integers(0, cls.n - 1)) for _ in range(T)]
     if draw(st.booleans()):  # realizable: labeled by one member of the class
         target = draw(st.integers(0, cls.d - 1))
         ys = [int(cls.table[target, x]) for x in xs]
     else:
         ys = [draw(st.integers(0, 1)) for _ in range(T)]
-    orders = draw(st.lists(st.permutations(range(T)), min_size=1, max_size=8))
-    return cls, seq_of(zip(xs, ys)), orders
+    return cls, seq_of(zip(xs, ys))
+
+
+@st.composite
+def batch_inputs(draw):
+    """A random class and sequence (T <= 6) and a few orderings of it."""
+    cls, seq = draw(class_and_sequence())
+    orders = draw(st.lists(st.permutations(range(seq.T)), min_size=1, max_size=8))
+    return cls, seq, orders
 
 
 modes = st.one_of(
@@ -409,6 +412,55 @@ def test_batch_kernel_matches_per_ordering_run(kind, inputs, tie_break, eta_vari
     cls, base, orders = inputs
     config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
     assert_kernel_matches_reference(config, cls, base, orders, mode, first_index)
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(
+    inputs=class_and_sequence(max_len=8),
+    eta_variant=st.sampled_from(("sqrt8", "sqrt2")),
+    mode=modes,
+)
+@settings(max_examples=30, deadline=None)
+def test_run_matches_scalar_reference(kind, tie_break, inputs, eta_variant, mode):
+    cls, seq = inputs
+    config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    try:
+        want = oracles.reference_run(config, cls, seq, mode)
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            run(config, cls, seq, mode)
+        return
+    got = run(config, cls, seq, mode)
+    for g, w in zip(got.rounds, want.rounds, strict=True):
+        assert (g.x, g.y, g.randomized) == (w.x, w.y, w.randomized)
+        assert abs(g.p_one - w.p_one) <= 1e-12
+        assert abs(g.mistake_prob - w.mistake_prob) <= 1e-12
+    assert abs(got.expected_mistakes - want.expected_mistakes) <= 1e-12
+    for field in ("switch_round", "min_mistakes_at_switch", "randomized_rounds", "deterministic_mistakes"):
+        assert getattr(got, field) == getattr(want, field), field
+    if want.trial_mistakes is None:
+        assert got.trial_mistakes is None
+    else:
+        assert got.trial_mistakes.tolist() == want.trial_mistakes.tolist()
+
+
+@pytest.mark.parametrize("kind", HYBRID_KINDS)
+@given(inputs=batch_inputs())
+@settings(max_examples=40, deadline=None)
+def test_kernel_engine_rounds_per_ordering(kind, inputs):
+    cls, base, orders = inputs
+    config = LearnerConfig(kind)
+    cols, truth = learners._rounds(cls, base.examples)
+    positions = np.array(orders)
+    _, engine_rounds, alive = learners._batch_p_one(
+        config, cls, cols[positions], truth[positions], LdimComputer(cls)
+    )
+    for k, order in enumerate(orders):
+        want = oracles.reference_run(config, cls, [base.examples[i] for i in order])
+        emptied = want.switch_round is not None
+        assert engine_rounds[k] == (want.switch_round if emptied else base.T)
+        assert (not alive[k].any()) == emptied
 
 
 @pytest.mark.parametrize("kind", ["wm_soa", "wm_halving", "soa"])
