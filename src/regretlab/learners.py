@@ -18,8 +18,11 @@ Carlo sampling; sampled mode draws the answers from a seeded generator and
 cross-checks the analytic numbers.
 
 `_batch_p_one` advances many orderings of one sequence together, one round
-at a time. `run_batch` gives per-ordering totals over many orderings; `run`
-is its one-ordering case and keeps the per-round record.
+at a time. Mistake counts are integers, so its wm weights come from one
+table of exp(-eta * k) over the integer gaps k <= t above each row's fewest
+mistakes, with no exp per round; once every version space is empty it stops
+narrowing and testing them. `run_batch` gives per-ordering totals over many
+orderings; `run` is its one-ordering case and keeps the per-round record.
 """
 
 from __future__ import annotations
@@ -78,7 +81,10 @@ class LearnerConfig:
 
 
 def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
-    """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability."""
+    """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability.
+
+    The definition; `_batch_p_one` reads the same shifted weights from a table.
+    """
     m = np.asarray(mistakes, dtype=np.float64)
     w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
     return w / w.sum(axis=-1, keepdims=True)
@@ -163,7 +169,12 @@ class RoundRecord:
 
 @dataclass
 class RunTrace:
-    """Per-round record of one learner pass plus aggregate totals."""
+    """Per-round record of one learner pass plus aggregate totals.
+
+    min_mistakes_at_switch is 1 whenever it is set: the expert that was
+    consistent through round switch_round - 1 errs exactly once, at round
+    switch_round, and no expert is error-free once the space is empty.
+    """
 
     rounds: list[RoundRecord]
     expected_mistakes: float
@@ -333,22 +344,30 @@ def _batch_p_one(
     hybrids) and its version space as a bool row (baselines and hybrids).
     Round t's advice is advice_of[cols[:, t]], one (B, d) array. A version
     space never grows, so the engine (soa needs `computer`) predicts in the
-    first engine_rounds[b] rounds of row b and wm in the rest.
+    first engine_rounds[b] rounds of row b and wm in the rest; once every
+    row's space is empty the spaces are no longer narrowed or tested.
+
+    Mistake counts are integers and a row's gap above its own minimum is at
+    most t, so the wm weights exp(-eta * (m - min m)) are read from the table
+    decay[k] = exp(-eta * k), k = 0 .. T, built once per call; P(1) is the
+    weight on 1 over the total weight, capped at 1.
     """
     B, T = cols.shape
     kind = config.kind
     engine = None if kind == "wm" else kind.removeprefix("wm_")
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
-    eta = eta_for(cls.d, T, config.eta_variant)
+    decay = np.exp(-eta_for(cls.d, T, config.eta_variant) * np.arange(T + 1))
     mistakes = np.zeros((B, cls.d), dtype=np.int64)
     alive = np.ones((B, cls.d), dtype=bool)
     engine_rounds = np.zeros(B, dtype=np.int64)
     rounds_all_in_space = 0  # counted apart so the common round costs no array update
     p_one = np.empty((B, T))
+    tracking = engine is not None  # some row's space is non-empty
     for t in range(T):
         advice = advice_of[cols[:, t]]
-        in_space = alive.any(axis=1) if engine else np.zeros(B, dtype=bool)
+        in_space = alive.any(axis=1) if tracking else np.zeros(B, dtype=bool)
         all_in, any_in = bool(in_space.all()), bool(in_space.any())
+        tracking = any_in
         if kind in BASELINE_KINDS and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
         if any_in:
@@ -363,10 +382,11 @@ def _batch_p_one(
             )
         if not all_in:
             rows = ~in_space if any_in else slice(None)
-            w = wm_weights(mistakes[rows], eta)
-            p_one[rows, t] = np.minimum(1.0, np.where(advice[rows], w, 0.0).sum(axis=1))
+            m = mistakes[rows]
+            w = decay.take(m - m.min(axis=1, keepdims=True))
+            p_one[rows, t] = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
         y = truth[:, t, None]
-        if engine:
+        if tracking:
             alive &= advice == y
         if kind not in BASELINE_KINDS:
             mistakes += advice != y

@@ -107,5 +107,5 @@ class PermutationStream:
         else:
             rng = np.random.default_rng(self.seed)
             for _ in range(self.count):
-                yield tuple(int(i) for i in rng.permutation(T))
+                yield tuple(rng.permutation(T).tolist())
 

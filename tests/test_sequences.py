@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,18 @@ def test_sampled_stream_reproducible():
     assert a == b
     assert a != c
     assert len(a) == 30
+
+
+@pytest.mark.parametrize("seed", [9, (7, 0)])
+def test_sampled_orders_follow_the_seeding_contract(seed):
+    # ordering k is the k-th permutation drawn from default_rng(seed), as Python ints
+    T, count = 50, 4
+    seq = label_sequence(ExperimentCase("realizable", T, 4), make_domain(T))
+    rng = np.random.default_rng(seed)
+    want = [tuple(int(i) for i in rng.permutation(T)) for _ in range(count)]
+    got = list(PermutationStream(seq, exhaustive=False, count=count, seed=seed).orders())
+    assert got == want
+    assert all(type(i) is int for order in got for i in order)
 
 
 def test_sampled_stream_count_validation():
