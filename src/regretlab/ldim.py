@@ -124,7 +124,6 @@ def ldim(
     cls: FiniteHypothesisClass,
     members: VersionSpace | None = None,
     want_witness: bool = False,
-    witness_cap: int = WITNESS_D_CAP,
 ) -> LdimResult:
     """Littlestone dimension of the member set (default: the whole class)."""
     space = members if members is not None else cls.full_space()
@@ -132,9 +131,9 @@ def ldim(
     value = computer.space_value(space)
     witness = None
     if want_witness:
-        if len(space) > witness_cap:
+        if len(space) > WITNESS_D_CAP:
             raise ValueError(
-                f"witness extraction is capped at {witness_cap} members, got {len(space)}"
+                f"witness extraction is capped at {WITNESS_D_CAP} members, got {len(space)}"
             )
         witness = ShatteredTree(value, computer.witness(space.mask, value))
     return LdimResult(value, witness)

@@ -1,8 +1,8 @@
 """Online learners as one state model and one batched round kernel.
 
-A learner's state is a pair: its version space (the hypotheses consistent
-with every example so far) and each expert's mistake count. Its prediction
-is a function of that state and the instance:
+A learner's state is one array: each expert's mistake count. Its version
+space (the hypotheses consistent with every example so far) is the experts
+with none. Its prediction is a function of that state and the instance:
 
 - consistent: the label of the lowest surviving hypothesis;
 - halving: the majority vote of the survivors (ties by `tie_break`);
@@ -20,9 +20,8 @@ cross-checks the analytic numbers.
 `_batch_p_one` advances many orderings of one sequence together, one round
 at a time. Mistake counts are integers, so its wm weights come from one
 table of exp(-eta * k) over the integer gaps k <= t above each row's fewest
-mistakes, with no exp per round; once every version space is empty it stops
-narrowing and testing them. `run_batch` gives per-ordering totals over many
-orderings; `run` is its one-ordering case and keeps the per-round record.
+mistakes, with no exp per round. `run_batch` gives per-ordering totals over
+many orderings; `run` is its one-ordering case and keeps the per-round record.
 """
 
 from __future__ import annotations
@@ -221,7 +220,7 @@ def run(
     examples = tuple(seq)
     cols, truth = _rounds(cls, examples)
     computer = LdimComputer(cls) if config.kind.endswith("soa") else None
-    p_ones, engine_rounds, alive = _batch_p_one(config, cls, cols[None], truth[None], computer)
+    p_ones, engine_rounds = _batch_p_one(config, cls, cols[None], truth[None], computer)
     p_ones = p_ones[0]
     # every wm-phase round is randomized; an engine predicts a label, 0 or 1,
     # or the fair coin 0.5 of a random halving tie
@@ -235,7 +234,8 @@ def run(
         round_probs = analytic_probs
 
     switch_round = min_mistakes_at_switch = None
-    if config.kind in HYBRID_KINDS and not alive.any():
+    # the final counts are the mistake profile whatever the order; none is 0 iff the space emptied
+    if config.kind in HYBRID_KINDS and mistake_profile(cls, Sequence(examples)).min() > 0:
         switch_round = int(engine_rounds[0])
         prefix = Sequence(examples[:switch_round])
         min_mistakes_at_switch = int(mistake_profile(cls, prefix).min())
@@ -306,7 +306,7 @@ def run_batch(
     while batch := list(islice(orders, BATCH_ORDERINGS)):
         positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
         ys = truth[positions]
-        p_one, engine_rounds, _ = _batch_p_one(config, cls, cols[positions], ys, computer)
+        p_one, engine_rounds = _batch_p_one(config, cls, cols[positions], ys, computer)
         # any wm-phase round or random halving tie, as `run` flags them per round
         randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
         if isinstance(mode, Sampled):
@@ -336,16 +336,14 @@ def _batch_p_one(
     cols: np.ndarray,
     truth: np.ndarray,
     computer: LdimComputer | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(predict 1), (B, T), for B orderings at once, each row's engine round count, and
-    the final version spaces.
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(predict 1), (B, T), for B orderings at once, and each row's engine round count.
 
-    Row b holds ordering b's state: its expert mistake counts (wm and the
-    hybrids) and its version space as a bool row (baselines and hybrids).
-    Round t's advice is advice_of[cols[:, t]], one (B, d) array. A version
-    space never grows, so the engine (soa needs `computer`) predicts in the
-    first engine_rounds[b] rounds of row b and wm in the rest; once every
-    row's space is empty the spaces are no longer narrowed or tested.
+    Row b's state is one row of expert mistake counts; its version space is
+    the experts with none, and it is non-empty while the row's fewest
+    mistakes is 0. Round t's advice is advice_of[cols[:, t]], one (B, d)
+    array. A version space never grows, so the engine (soa needs `computer`)
+    predicts in the first engine_rounds[b] rounds of row b and wm in the rest.
 
     Mistake counts are integers and a row's gap above its own minimum is at
     most t, so the wm weights exp(-eta * (m - min m)) are read from the table
@@ -357,60 +355,51 @@ def _batch_p_one(
     engine = None if kind == "wm" else kind.removeprefix("wm_")
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
     decay = np.exp(-eta_for(cls.d, T, config.eta_variant) * np.arange(T + 1))
-    mistakes = np.zeros((B, cls.d), dtype=np.int64)
-    alive = np.ones((B, cls.d), dtype=bool)
+    mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
     engine_rounds = np.zeros(B, dtype=np.int64)
-    rounds_all_in_space = 0  # counted apart so the common round costs no array update
     p_one = np.empty((B, T))
-    tracking = engine is not None  # some row's space is non-empty
+    all_in = any_in = False  # wm has no engine: every round is a wm round
     for t in range(T):
         advice = advice_of[cols[:, t]]
-        in_space = alive.any(axis=1) if tracking else np.zeros(B, dtype=bool)
-        all_in, any_in = bool(in_space.all()), bool(in_space.any())
-        tracking = any_in
+        low = mistakes.min(axis=1, keepdims=True)
+        if engine is not None:
+            in_space = low[:, 0] == 0
+            all_in, any_in = bool(in_space.all()), bool(in_space.any())
         if kind in BASELINE_KINDS and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
         if any_in:
-            if all_in:
-                rows = slice(None)
-                rounds_all_in_space += 1
-            else:
-                rows = in_space
-                engine_rounds += in_space
+            rows = slice(None) if all_in else in_space
+            engine_rounds += in_space
+            space = mistakes[rows] == 0
             p_one[rows, t] = _engine_p_one(
-                engine, config.tie_break, cls, alive[rows], advice[rows], cols[rows, t], computer
+                engine, config.tie_break, cls, space, advice[rows], cols[rows, t], computer
             )
         if not all_in:
             rows = ~in_space if any_in else slice(None)
-            m = mistakes[rows]
-            w = decay.take(m - m.min(axis=1, keepdims=True))
+            w = decay.take(mistakes[rows] - low[rows])
             p_one[rows, t] = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
-        y = truth[:, t, None]
-        if tracking:
-            alive &= advice == y
-        if kind not in BASELINE_KINDS:
-            mistakes += advice != y
-    return p_one, engine_rounds + rounds_all_in_space, alive
+        mistakes += advice != truth[:, t, None]
+    return p_one, engine_rounds
 
 
 def _engine_p_one(
     engine: str,
     tie_break: str,
     cls: FiniteHypothesisClass,
-    alive: np.ndarray,
+    space: np.ndarray,
     advice: np.ndarray,
     cols: np.ndarray,
     computer: LdimComputer | None,
 ) -> np.ndarray:
-    """P(predict 1) of a version-space rule on non-empty rows."""
+    """P(predict 1) of a version-space rule on rows whose space (a bool row) is non-empty."""
     if engine == "consistent":  # the lowest surviving index
-        first = alive.argmax(axis=1)
+        first = space.argmax(axis=1)
         return advice[np.arange(len(first)), first].astype(np.float64)
     if engine == "halving":
-        ones = (alive & advice).sum(axis=1)
-        zeros = alive.sum(axis=1) - ones
+        ones = (space & advice).sum(axis=1)
+        zeros = space.sum(axis=1) - ones
         p = (ones > zeros).astype(np.float64)
         p[ones == zeros] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
         return p
-    labels = [soa_label(computer, mask, cls.ones_mask(j)) for mask, j in zip(bitmasks(alive), cols)]
+    labels = [soa_label(computer, mask, cls.ones_mask(j)) for mask, j in zip(bitmasks(space), cols)]
     return np.array(labels, dtype=np.float64)

@@ -78,7 +78,7 @@ class PermutationStream:
     """A stream of reorderings of one base sequence.
 
     Exhaustive streams enumerate all T! orderings (lexicographic by original
-    position) and are refused above the factorial cap. Sampled streams yield
+    position) and are refused above T = EXHAUSTIVE_T_CAP. Sampled streams yield
     `count` independent uniform shuffles, reproducible from the seed.
     """
 
@@ -86,7 +86,6 @@ class PermutationStream:
     exhaustive: bool = True
     count: int = 0
     seed: int | tuple[int, ...] = 0
-    factorial_cap: int = EXHAUSTIVE_T_CAP
 
     def __post_init__(self) -> None:
         if not self.exhaustive and self.count < 1:
@@ -99,9 +98,9 @@ class PermutationStream:
         """Yield position orderings (indices into the base sequence)."""
         T = self.base.T
         if self.exhaustive:
-            if T > self.factorial_cap:
+            if T > EXHAUSTIVE_T_CAP:
                 raise FactorialCapExceeded(
-                    f"exhaustive enumeration needs T <= {self.factorial_cap}, got T={T}"
+                    f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}"
                 )
             yield from itertools.permutations(range(T))
         else:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +190,27 @@ def test_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        (
+            "realizable_T7_d4.json",
+            "--case realizable --T 7 --d 4"
+            " --learners consistent,halving,soa,wm,wm_consistent,wm_halving,wm_soa",
+        ),
+        ("unrealizable_T8_d4.json", "--case unrealizable --T 8 --d 4 --learners wm,wm_halving,wm_soa"),
+    ],
+)
+def test_json_report_matches_golden_bytes(capsys, monkeypatch, golden, argv):
+    monkeypatch.delenv("REGRETLAB_SEED", raising=False)
+    code, out, err = run_argv(["run", *argv.split(), "--format", "json"], capsys)
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_markdown_format(capsys):

@@ -63,7 +63,7 @@ def test_witness_cap():
     table[:, 0] = np.arange(25) % 2
     cls = make_class(table)
     with pytest.raises(ValueError):
-        ldim(cls, want_witness=True, witness_cap=20)
+        ldim(cls, want_witness=True)
     assert ldim(cls).value >= 1  # value computation itself is not capped
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -455,14 +456,14 @@ def test_kernel_engine_rounds_per_ordering(kind, inputs):
     config = LearnerConfig(kind)
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds, alive = learners._batch_p_one(
+    _, engine_rounds = learners._batch_p_one(
         config, cls, cols[positions], truth[positions], LdimComputer(cls)
     )
+    emptied = mistake_profile(cls, base).min() > 0  # the final counts of every ordering
     for k, order in enumerate(orders):
         want = oracles.reference_run(config, cls, [base.examples[i] for i in order])
-        emptied = want.switch_round is not None
+        assert (want.switch_round is not None) == emptied
         assert engine_rounds[k] == (want.switch_round if emptied else base.T)
-        assert (not alive[k].any()) == emptied
 
 
 @pytest.mark.parametrize("kind", ["wm_soa", "wm_halving", "soa"])
@@ -474,6 +475,28 @@ def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_o
         for mode in (ANALYTIC, Sampled((5, 1), trials=3)):
             config = LearnerConfig(kind, tie_break="random")
             assert_kernel_matches_reference(config, threshold8, base, orders, mode, 4)
+
+
+LAST_ROUND_EMPTIES = [(1, 1), (-3, 0), (0, 1)]
+
+
+def test_space_that_empties_on_the_final_round(threshold8):
+    seq = seq_of(LAST_ROUND_EMPTIES)
+    assert mistake_profile(threshold8, seq).tolist() == [1, 2, 2, 2, 2]
+    for kind in HYBRID_KINDS:
+        trace = run(LearnerConfig(kind), threshold8, seq)
+        assert (trace.switch_round, trace.min_mistakes_at_switch, trace.randomized_rounds) == (3, 1, 0)
+    for kind in ("consistent", "halving", "soa"):
+        assert run(LearnerConfig(kind), threshold8, seq).switch_round is None
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_batch_of_a_space_that_empties_on_the_final_round(threshold8, kind):
+    orders = list(itertools.permutations(range(3)))
+    for mode in (ANALYTIC, Sampled((2, 1), trials=3)):
+        for tie_break in TIE_BREAKS:
+            config = LearnerConfig(kind, tie_break=tie_break)
+            assert_kernel_matches_reference(config, threshold8, seq_of(LAST_ROUND_EMPTIES), orders, mode, 0)
 
 
 def test_batch_kernel_validates_inputs_before_any_round(threshold8):
@@ -515,11 +538,9 @@ def test_batch_after_every_space_empties_matches_reference(kind):
     config = LearnerConfig(kind, eta_variant="sqrt2")
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds, alive = learners._batch_p_one(
-        config, cls, cols[positions], truth[positions], None
-    )
+    _, engine_rounds = learners._batch_p_one(config, cls, cols[positions], truth[positions], None)
     # every space empties, and many rounds follow the last one to empty
-    assert not alive.any() and engine_rounds.max() < base.T - 10
+    assert mistake_profile(cls, base).min() > 0 and engine_rounds.max() < base.T - 10
     for mode in (ANALYTIC, Sampled(4, trials=3)):
         assert_kernel_matches_reference(config, cls, base, orders, mode, 0)
 
