@@ -45,6 +45,7 @@ from .sequences import (
 
 SEED_ENV_VAR = "REGRETLAB_SEED"
 FORMATS = ("csv", "json", "markdown")
+MAX_T = 10_000  # ten times the paper's horizon; keeps a d x T table under 10^8 cells
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,16 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return replace(config, **overrides)
 
 
+def _check_size(T: int, d: int) -> None:
+    """Refuse a horizon or class size before any domain or class is built."""
+    if not 1 <= T <= MAX_T:
+        raise ConfigError(f"--T must satisfy 1 <= T <= {MAX_T}, got {T}")
+    if not 1 <= d <= T:
+        raise ConfigError(f"--d must satisfy 1 <= d <= T, got d={d}, T={T}")
+
+
 def _validate(config: ExperimentConfig) -> None:
-    if config.T < 1:
-        raise ConfigError("--T must be a positive integer")
-    if not 1 <= config.d <= config.T:
-        raise ConfigError(f"--d must satisfy 1 <= d <= T, got d={config.d}, T={config.T}")
+    _check_size(config.T, config.d)
     if not config.learners:
         raise ConfigError("--learners must name at least one learner")
     for kind in config.learners:
@@ -248,11 +254,8 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def _gen_command(args: argparse.Namespace) -> int:
-    if args.T < 1:
-        raise ConfigError("--T must be a positive integer")
     d = args.d if args.d is not None else max(1, args.T // 2)
-    if not 1 <= d <= args.T:
-        raise ConfigError(f"--d must satisfy 1 <= d <= T, got d={d}, T={args.T}")
+    _check_size(args.T, d)
     case = ExperimentCase(args.case, args.T, d)
     cls, base = make_case_inputs(case)
     if args.out:
@@ -277,9 +280,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _run_command(args)
         raise ConfigError("missing command: use 'run' or 'gen'")
-    except ConfigError as exc:
-        print(f"regretlab: error: {exc}", file=sys.stderr)
-        return 1
     except RegretlabError as exc:
         print(f"regretlab: error: {exc}", file=sys.stderr)
         return 1
@@ -287,3 +287,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

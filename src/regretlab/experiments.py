@@ -25,7 +25,7 @@ from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
 from .learners import ANALYTIC, HYBRID_KINDS, Analytic, LearnerConfig, Sampled, run_batch
 # Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch.
 from .learners import run  # noqa: F401
-from .ldim import LdimComputer
+from .ldim import ldim
 from .sequences import (
     REALIZABLE,
     ExperimentCase,
@@ -134,23 +134,21 @@ def _chunk_values(args) -> tuple[np.ndarray, np.ndarray, bool]:
 _BOUND_HEADS = {
     "consistent": ("|H| - 1", lambda cls: cls.d - 1),
     "halving": ("floor(log2 |H|)", lambda cls: cls.d.bit_length() - 1),
-    "soa": ("Ldim(H)", lambda cls: LdimComputer(cls).value(cls.full_space().mask)),
+    "soa": ("Ldim(H)", lambda cls: ldim(cls).value),
 }
 
 
 def _realizable_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float]:
-    d = cls.d
     if kind == "wm":
         # expected-mistake bound; with a perfect hypothesis it equals the regret bound
-        value = math.sqrt(0.5 * math.log(d) * T) if d > 1 else 0.0
+        value = math.sqrt(0.5 * math.log(cls.d) * T) if cls.d > 1 else 0.0
         return "expected mistakes <= sqrt(0.5 ln|H| T)", value
     label, head_of = _BOUND_HEADS[kind.removeprefix("wm_")]
     return f"mistakes <= {label}", float(head_of(cls))
 
 
 def _agnostic_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float] | None:
-    d = cls.d
-    log_term = math.log(d) if d > 1 else 0.0
+    log_term = math.log(cls.d) if cls.d > 1 else 0.0
     if kind == "wm":
         return "expected regret <= sqrt(0.5 ln|H| T)", math.sqrt(0.5 * log_term * T)
     if kind not in HYBRID_KINDS:

@@ -5,9 +5,10 @@ The dimension of a member set V is computed by the standard recursion:
 
     max over splitting points x of  1 + min(Ldim(V | x->0), Ldim(V | x->1)).
 
-Member sets are bitmasks, memoized per computation. The recursion is pruned
-with the log2 cardinality ceiling, which never changes the result because no
-set of size s admits a shattered tree deeper than floor(log2 s).
+Member sets are bitmasks. Each class has one memo of the values found so
+far, shared by every reader of the class and dropped with it. The recursion
+is pruned with the log2 cardinality ceiling, which never changes the result
+because no set of size s admits a shattered tree deeper than floor(log2 s).
 
 Witness trees are stored in heap order: node 1 is the root and the children
 of node i are 2i (label 0 branch) and 2i+1 (label 1 branch), so the node
@@ -19,11 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from weakref import WeakKeyDictionary
 
 from .errors import EmptyVersionSpace
 from .hypotheses import FiniteHypothesisClass, VersionSpace
 
 WITNESS_D_CAP = 20
+
+# member bitmask -> Ldim, one memo per class; classes hash by identity (eq=False)
+_MEMOS: WeakKeyDictionary[FiniteHypothesisClass, dict[int, int]] = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -50,15 +55,16 @@ class LdimResult:
 
 
 class LdimComputer:
-    """Memoized Littlestone-dimension evaluator for one hypothesis class.
+    """Littlestone-dimension evaluator for one hypothesis class.
 
-    The memo cache is keyed on the member bitmask and lives for this
-    instance only; independent callers own independent caches.
+    A view on the class's one memo, keyed on the member bitmask: every
+    computer of a class reads and fills the same memo, which lives as long
+    as the class does.
     """
 
     def __init__(self, cls: FiniteHypothesisClass):
         self.cls = cls
-        self._memo: dict[int, int] = {}
+        self._memo = _MEMOS.setdefault(cls, {})
 
     def value(self, mask: int) -> int:
         cached = self._memo.get(mask)
@@ -82,11 +88,6 @@ class LdimComputer:
                         break
         self._memo[mask] = best
         return best
-
-    def space_value(self, space: VersionSpace) -> int:
-        if not space:
-            raise EmptyVersionSpace("Ldim of an empty member set is undefined")
-        return self.value(space.mask)
 
     def witness(self, mask: int, depth: int) -> tuple[int, ...]:
         """Nodes of a depth-`depth` tree shattered by the members of `mask`.
@@ -127,8 +128,10 @@ def ldim(
 ) -> LdimResult:
     """Littlestone dimension of the member set (default: the whole class)."""
     space = members if members is not None else cls.full_space()
+    if not space:
+        raise EmptyVersionSpace("Ldim of an empty member set is undefined")
     computer = LdimComputer(cls)
-    value = computer.space_value(space)
+    value = computer.value(space.mask)
     witness = None
     if want_witness:
         if len(space) > WITNESS_D_CAP:

@@ -219,8 +219,7 @@ def run(
     """
     examples = tuple(seq)
     cols, truth = _rounds(cls, examples)
-    computer = LdimComputer(cls) if config.kind.endswith("soa") else None
-    p_ones, engine_rounds = _batch_p_one(config, cls, cols[None], truth[None], computer)
+    p_ones, engine_rounds = _batch_p_one(config, cls, cols[None], truth[None])
     p_ones = p_ones[0]
     # every wm-phase round is randomized; an engine predicts a label, 0 or 1,
     # or the fair coin 0.5 of a random halving tie
@@ -261,10 +260,6 @@ def run(
 BATCH_ORDERINGS = 1024  # orderings advanced together; bounds memory at T = 9 (9! orderings)
 
 
-def _flatten_seed(seed) -> tuple[int, ...]:
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-
-
 def _rounds(cls: FiniteHypothesisClass, examples) -> tuple[np.ndarray, np.ndarray]:
     """(column index, label == 1) of each example; every example is checked before any round."""
     for _, y in examples:
@@ -291,13 +286,12 @@ def run_batch(
     mode --, whether any prediction was randomized). The iterable is consumed
     once, in batches of at most BATCH_ORDERINGS. Ordering k of it has stream
     index first_index + k, and in sampled mode draws from the seed
-    mode.seed + (first_index + k,). One Ldim memo serves every ordering, since
-    the SOA rule depends only on the version space.
+    mode.seed + (first_index + k,). The SOA rule depends only on the version
+    space, so every ordering reads the class's one Ldim memo.
     """
     examples = tuple(base)
     T = len(examples)
     cols, truth = _rounds(cls, examples)
-    computer = LdimComputer(cls) if config.kind.endswith("soa") else None
 
     expected, realized = [], []
     randomized = False
@@ -306,11 +300,11 @@ def run_batch(
     while batch := list(islice(orders, BATCH_ORDERINGS)):
         positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
         ys = truth[positions]
-        p_one, engine_rounds = _batch_p_one(config, cls, cols[positions], ys, computer)
+        p_one, engine_rounds = _batch_p_one(config, cls, cols[positions], ys)
         # any wm-phase round or random halving tie, as `run` flags them per round
         randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
         if isinstance(mode, Sampled):
-            seed = _flatten_seed(mode.seed)
+            seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
             totals = np.empty(len(batch))
             maxima = np.empty(len(batch), dtype=np.int64)
             for k in range(len(batch)):
@@ -335,15 +329,14 @@ def _batch_p_one(
     cls: FiniteHypothesisClass,
     cols: np.ndarray,
     truth: np.ndarray,
-    computer: LdimComputer | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(predict 1), (B, T), for B orderings at once, and each row's engine round count.
 
     Row b's state is one row of expert mistake counts; its version space is
     the experts with none, and it is non-empty while the row's fewest
     mistakes is 0. Round t's advice is advice_of[cols[:, t]], one (B, d)
-    array. A version space never grows, so the engine (soa needs `computer`)
-    predicts in the first engine_rounds[b] rounds of row b and wm in the rest.
+    array. A version space never grows, so the engine predicts in the first
+    engine_rounds[b] rounds of row b and wm in the rest.
 
     Mistake counts are integers and a row's gap above its own minimum is at
     most t, so the wm weights exp(-eta * (m - min m)) are read from the table
@@ -353,6 +346,7 @@ def _batch_p_one(
     B, T = cols.shape
     kind = config.kind
     engine = None if kind == "wm" else kind.removeprefix("wm_")
+    computer = LdimComputer(cls) if engine == "soa" else None
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
     decay = np.exp(-eta_for(cls.d, T, config.eta_variant) * np.arange(T + 1))
     mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T

@@ -7,11 +7,12 @@ shares no code with the recursive computation it cross-checks.
 
 The learner oracle, `reference_run`, is a plain round-by-round learner
 written from the definitions: an integer-mask version space narrowed by
-`restrict`, halving by counting votes, SOA through `soa_label` on its own
-Ldim memo, and weighted majority with `math.exp` weights over a list of
-mistake counts. It shares no code with the batched kernel behind `run` and
-`run_batch`; `per_ordering_values` runs it once per ordering to cross-check
-`run_batch`.
+`restrict`, halving by counting votes, SOA through `soa_label` on the
+class's one Ldim memo (whose values the tree oracle above cross-checks), and
+weighted majority with `math.exp` weights over a list of mistake counts.
+Apart from `soa_label` and that memo it shares no code with the batched
+kernel behind `run` and `run_batch`; `per_ordering_values` runs it once per
+ordering to cross-check `run_batch`.
 """
 
 import math

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from regretlab.cli import ExperimentConfig, run_cli
+from regretlab import cli
+from regretlab.cli import MAX_T, ExperimentConfig, run_cli
 
 TABLE_CSV_REALIZABLE = (
     "t,x,y\n"
@@ -204,6 +208,15 @@ GOLDEN = Path(__file__).parent / "golden"
             " --learners consistent,halving,soa,wm,wm_consistent,wm_halving,wm_soa",
         ),
         ("unrealizable_T8_d4.json", "--case unrealizable --T 8 --d 4 --learners wm,wm_halving,wm_soa"),
+        (
+            "realizable_T32_d16_soa.json",
+            "--case realizable --T 32 --d 16 --learners soa,wm_soa --perm sampled:24 --seed 5",
+        ),
+        (
+            "unrealizable_T32_d16_wm_soa.json",
+            "--case unrealizable --T 32 --d 16 --learners wm_soa --perm sampled:24"
+            " --mode sampled:3 --seed 5",
+        ),
     ],
 )
 def test_json_report_matches_golden_bytes(capsys, monkeypatch, golden, argv):
@@ -303,3 +316,45 @@ def test_gen_validation(capsys):
     code, _, err = run_argv(["gen", "--T", "4", "--d", "9"], capsys)
     assert code == 1
     assert "1 <= d <= T" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--T", "1000000000", "--d", "1", "--learners", "wm"],
+        ["run", "--T", "0", "--d", "1", "--learners", "wm"],
+        ["gen", "--T", "1000000000"],
+        ["run", "--T", str(MAX_T + 1), "--d", "1", "--learners", "wm", "--dump-config"],
+    ],
+)
+def test_horizon_out_of_range_refused_before_building(capsys, monkeypatch, argv):
+    def no_build(case):  # pragma: no cover - must not be called
+        raise AssertionError("class built for a refused horizon")
+
+    monkeypatch.setattr(cli, "make_case_inputs", no_build)
+    code, out, err = run_argv(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"1 <= T <= {MAX_T}" in err
+
+
+def test_horizon_at_cap_accepted(capsys):
+    argv = ["--T", str(MAX_T), "--d", "1", "--learners", "wm", "--perm", "sampled:1", "--dump-config"]
+    code, out, _ = run_argv(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["T"] == MAX_T
+
+
+def test_cli_module_runs_like_package():
+    env = {k: v for k, v in os.environ.items() if k != "REGRETLAB_SEED"}
+    argv = ["run", "--T", "4", "--d", "2", "--learners", "wm"]
+    procs = [
+        subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        for module in ("regretlab", "regretlab.cli")
+    ]
+    assert procs[0].returncode == procs[1].returncode == 0, procs[1].stderr
+    assert procs[0].stdout.startswith("learner,T,")
+    assert procs[1].stdout == procs[0].stdout
+    assert procs[1].stderr == procs[0].stderr

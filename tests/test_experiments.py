@@ -7,6 +7,7 @@ import pytest
 from regretlab import experiments
 from regretlab import (
     ExperimentCase,
+    LdimComputer,
     LearnerConfig,
     PermutationStream,
     Sampled,
@@ -14,6 +15,7 @@ from regretlab import (
     check_bounds,
     emit_report,
     evaluate,
+    ldim,
     make_case_inputs,
     run,
     with_bounds,
@@ -187,6 +189,23 @@ def test_agnostic_wm_bound_large_class():
     assert verdict.bound_value == pytest.approx(math.sqrt(0.5 * math.log(500) * 1000))
     assert verdict.observed == pytest.approx(report.expected_regret)
     assert verdict.passed
+
+
+def test_soa_bound_check_reads_the_class_memo(monkeypatch):
+    case, cls, stream = small_stream(T=6, d=3)
+    report = evaluate(LearnerConfig("soa"), case, stream)
+    assert ldim(cls).value == 1
+    calls = []
+    value = LdimComputer.value
+
+    def counted(self, mask):
+        calls.append(mask)
+        return value(self, mask)
+
+    monkeypatch.setattr(LdimComputer, "value", counted)
+    (verdict,) = check_bounds(report, cls)
+    assert verdict.bound_value == 1.0
+    assert calls == [cls.full_space().mask]  # one memo hit, no recursion
 
 
 def test_degenerate_case_bounds_pass():

@@ -1,3 +1,7 @@
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,9 @@ from regretlab import (
 
 from .conftest import make_class
 from .oracles import exists_shattered_tree, ldim_by_enumeration
+
+# the module; the package attribute `regretlab.ldim` is the function
+ldim_module = importlib.import_module("regretlab.ldim")
 
 
 def test_quad_class_has_dimension_two(quad_class):
@@ -67,11 +74,27 @@ def test_witness_cap():
     assert ldim(cls).value >= 1  # value computation itself is not capped
 
 
-def test_memo_is_per_computer(quad_class, threshold8):
+def test_memo_is_per_class(quad_class, threshold8):
     a, b = LdimComputer(quad_class), LdimComputer(threshold8)
     assert a.value(quad_class.full_space().mask) == 2
     assert b.value(threshold8.full_space().mask) == 2
     assert a._memo is not b._memo
+    again = LdimComputer(quad_class)
+    assert again._memo is a._memo
+    assert quad_class.full_space().mask in again._memo
+
+
+def test_memo_is_dropped_with_its_class():
+    gc.collect()
+    cls = make_class([[0, 1, 1], [0, 0, 1], [1, 1, 1]])
+    memo = LdimComputer(cls)._memo
+    assert ldim(cls).value == 1
+    assert memo and ldim_module._MEMOS[cls] is memo
+    alive = weakref.ref(cls)
+    del cls
+    gc.collect()
+    assert alive() is None
+    assert all(m is not memo for m in ldim_module._MEMOS.values())
 
 
 small_tables = st.integers(1, 6).flatmap(

@@ -456,9 +456,7 @@ def test_kernel_engine_rounds_per_ordering(kind, inputs):
     config = LearnerConfig(kind)
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds = learners._batch_p_one(
-        config, cls, cols[positions], truth[positions], LdimComputer(cls)
-    )
+    _, engine_rounds = learners._batch_p_one(config, cls, cols[positions], truth[positions])
     emptied = mistake_profile(cls, base).min() > 0  # the final counts of every ordering
     for k, order in enumerate(orders):
         want = oracles.reference_run(config, cls, [base.examples[i] for i in order])
@@ -538,7 +536,7 @@ def test_batch_after_every_space_empties_matches_reference(kind):
     config = LearnerConfig(kind, eta_variant="sqrt2")
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds = learners._batch_p_one(config, cls, cols[positions], truth[positions], None)
+    _, engine_rounds = learners._batch_p_one(config, cls, cols[positions], truth[positions])
     # every space empties, and many rounds follow the last one to empty
     assert mistake_profile(cls, base).min() > 0 and engine_rounds.max() < base.T - 10
     for mode in (ANALYTIC, Sampled(4, trials=3)):
