@@ -28,6 +28,7 @@ from regretlab import (
     make_case_inputs,
     with_bounds,
 )
+from regretlab.learners import ETA_VARIANTS
 
 RUNS = [
     ("small_realizable", ExperimentCase("realizable", 8, 4), True, 0),
@@ -41,7 +42,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--eta-variant", choices=("sqrt8", "sqrt2"), default="sqrt2")
+    parser.add_argument("--eta-variant", choices=ETA_VARIANTS, default="sqrt2")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 

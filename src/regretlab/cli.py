@@ -7,11 +7,13 @@ Two commands:
 
 `run` evaluates the requested learners over a permutation stream, prints or
 writes the report, and exits 0 on success, 2 if any bound check fails, 1 on
-usage or configuration errors. `gen` dumps the generated hypothesis class
-(JSON) and labeled sequence (CSV) for inspection.
+usage, configuration or output errors. `run --config FILE` reads a JSON
+object of flags (key `eta_variant` is `--eta-variant`) and parses them ahead of
+the command line, so each value is checked as its flag is and flags win. `gen`
+dumps the generated hypothesis class (JSON) and labeled sequence (CSV).
 
-All randomness flows from one master seed (--seed, falling back to the
-REGRETLAB_SEED environment variable, then 0). Sub-streams are derived by a
+All randomness flows from one non-negative master seed (--seed, falling back to
+the REGRETLAB_SEED environment variable, then 0). Sub-streams are derived by a
 fixed rule: the permutation sampler is seeded with (seed, 0) and the
 prediction sampler for permutation index i with (seed, 1, i).
 """
@@ -22,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 from .errors import RegretlabError
 from .experiments import emit_report, evaluate, with_bounds
@@ -70,16 +72,6 @@ class ExperimentConfig:
         doc["learners"] = list(self.learners)
         return json.dumps(doc, indent=2) + "\n"
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "learners" in doc:
-            doc = dict(doc, learners=tuple(doc["learners"]))
-        return cls(**doc)
-
 
 class ConfigError(RegretlabError):
     """Invalid flag or config-file combination."""
@@ -90,17 +82,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_count_mode(value: str, flag: str, bare: str) -> tuple[str, int]:
-    """Parse 'analytic'/'exhaustive' or '<bare>:N' into (mode, count)."""
+def _seed(text: str) -> int:
+    """A master seed; numpy's seed sequences take non-negative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
+def _learner_list(text: str) -> tuple[str, ...]:
+    return tuple(k.strip() for k in text.split(",") if k.strip())
+
+
+def _parse_count(value: str, flag: str, bare: str) -> int:
+    """Parse `bare` into 0 and 'sampled:N' into N >= 1."""
     if value == bare:
-        return value, 0
+        return 0
     if value.startswith("sampled:"):
         try:
             count = int(value.split(":", 1)[1])
         except ValueError:
             count = 0
         if count >= 1:
-            return "sampled", count
+            return count
     raise ConfigError(f"{flag} must be {bare!r} or 'sampled:N' with N >= 1, got {value!r}")
 
 
@@ -111,22 +118,17 @@ def build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="evaluate learners over a permutation stream")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
     run_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE))
-    run_p.add_argument("--T", type=int, dest="T")
-    run_p.add_argument("--d", type=int, dest="d")
-    run_p.add_argument("--learners", help="comma-separated learner kinds")
+    run_p.add_argument("--T", type=int)
+    run_p.add_argument("--d", type=int)
+    run_p.add_argument("--learners", type=_learner_list, help="comma-separated learner kinds")
     run_p.add_argument("--perm", help="exhaustive or sampled:N")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--eta-variant", choices=ETA_VARIANTS, dest="eta_variant")
+    run_p.add_argument("--seed", type=_seed)
+    run_p.add_argument("--eta-variant", choices=ETA_VARIANTS)
     run_p.add_argument("--mode", help="analytic or sampled:N")
     run_p.add_argument("--format", choices=FORMATS)
     run_p.add_argument("--out", help="output path (default: stdout)")
     run_p.add_argument("--jobs", type=int)
-    run_p.add_argument(
-        "--check-bounds",
-        action=argparse.BooleanOptionalAction,
-        dest="check_bounds",
-        default=None,
-    )
+    run_p.add_argument("--check-bounds", action=argparse.BooleanOptionalAction)
     run_p.add_argument(
         "--dump-config",
         action="store_true",
@@ -135,8 +137,8 @@ def build_parser() -> _Parser:
 
     gen_p = sub.add_parser("gen", help="dump the generated class and sequence")
     gen_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE), default=REALIZABLE)
-    gen_p.add_argument("--T", type=int, dest="T", required=True)
-    gen_p.add_argument("--d", type=int, dest="d")
+    gen_p.add_argument("--T", type=int, required=True)
+    gen_p.add_argument("--d", type=int)
     gen_p.add_argument(
         "--out",
         help="prefix: writes PREFIX.sequence.csv and PREFIX.class.json "
@@ -145,41 +147,38 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(flag_seed: int | None, file_seed: int | None) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if file_seed is not None:
-        return file_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+def _config_tokens(path: str) -> list[str]:
+    """The `run` flags a JSON config file stands for: key `a_b` is `--a-b=value`."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "learners" and isinstance(value, list):
+            value = ",".join(map(str, value))
+        if key == "check_bounds" and isinstance(value, bool):
+            tokens.append(flag if value else "--no-check-bounds")
+        elif value is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig()
-    file_seed = None
-    if args.config:
+    values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    if values["seed"] is None and SEED_ENV_VAR in os.environ:
         try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        file_seed = doc.pop("seed", None)
-        config = ExperimentConfig.from_dict(doc)
-
-    overrides = {}
-    for name in ("case", "T", "d", "perm", "eta_variant", "mode", "format", "out", "jobs", "check_bounds"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.learners is not None:
-        overrides["learners"] = tuple(k.strip() for k in args.learners.split(",") if k.strip())
-    overrides["seed"] = _resolve_seed(args.seed, file_seed)
-    return replace(config, **overrides)
+            values["seed"] = _seed(os.environ[SEED_ENV_VAR])
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
+    return ExperimentConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def _check_size(T: int, d: int) -> None:
@@ -190,7 +189,8 @@ def _check_size(T: int, d: int) -> None:
         raise ConfigError(f"--d must satisfy 1 <= d <= T, got d={d}, T={T}")
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _validate(config: ExperimentConfig) -> tuple[int, int]:
+    """Check the config; returns (orderings, trials), 0 meaning exhaustive / analytic."""
     _check_size(config.T, config.d)
     if not config.learners:
         raise ConfigError("--learners must name at least one learner")
@@ -202,40 +202,34 @@ def _validate(config: ExperimentConfig) -> None:
                 f"learner {kind!r} requires a realizable sequence; "
                 "use its wm_ hybrid for unrealizable cases"
             )
-    perm_mode, _ = _parse_count_mode(config.perm, "--perm", "exhaustive")
-    if perm_mode == "exhaustive" and config.T > EXHAUSTIVE_T_CAP:
+    orderings = _parse_count(config.perm, "--perm", "exhaustive")
+    if not orderings and config.T > EXHAUSTIVE_T_CAP:
         raise ConfigError(
             f"exhaustive permutations need T <= {EXHAUSTIVE_T_CAP}; use --perm sampled:N"
         )
-    _parse_count_mode(config.mode, "--mode", "analytic")
-    if config.format not in FORMATS:
-        raise ConfigError(f"--format must be one of {FORMATS}")
+    trials = _parse_count(config.mode, "--mode", "analytic")
     if config.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    return orderings, trials
 
 
 def _run_command(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    _validate(config)
+    orderings, trials = _validate(config)
     if args.dump_config:
         sys.stdout.write(config.to_json())
         return 0
 
     case = ExperimentCase(config.case, config.T, config.d)
     cls, base = make_case_inputs(case)
-    perm_mode, perm_count = _parse_count_mode(config.perm, "--perm", "exhaustive")
     stream = PermutationStream(
-        base,
-        exhaustive=perm_mode == "exhaustive",
-        count=perm_count,
-        seed=(config.seed, 0),
+        base, exhaustive=not orderings, count=orderings, seed=(config.seed, 0)
     )
-    run_mode_name, trials = _parse_count_mode(config.mode, "--mode", "analytic")
+    mode = Sampled((config.seed, 1), trials) if trials else ANALYTIC
 
     reports = []
     for kind in config.learners:
         learner = LearnerConfig(kind, eta_variant=config.eta_variant)
-        mode = ANALYTIC if run_mode_name == "analytic" else Sampled((config.seed, 1), trials)
         report = evaluate(learner, case, stream, mode=mode, jobs=config.jobs)
         if config.check_bounds:
             with_bounds(report, cls)
@@ -275,12 +269,14 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "run" and args.config:
+            args = parser.parse_args(["run", *_config_tokens(args.config), *argv[1:]])
         if args.command == "gen":
             return _gen_command(args)
         if args.command == "run":
             return _run_command(args)
         raise ConfigError("missing command: use 'run' or 'gen'")
-    except RegretlabError as exc:
+    except (RegretlabError, OSError) as exc:
         print(f"regretlab: error: {exc}", file=sys.stderr)
         return 1
 

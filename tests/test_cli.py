@@ -1,13 +1,15 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from regretlab import cli
-from regretlab.cli import MAX_T, ExperimentConfig, run_cli
+from regretlab.cli import MAX_T, ExperimentConfig, build_parser, run_cli
 
 TABLE_CSV_REALIZABLE = (
     "t,x,y\n"
@@ -235,7 +237,14 @@ def test_markdown_format(capsys):
     assert out.startswith("| T | Permutations |")
 
 
-def test_dump_config_round_trip(capsys):
+def test_every_config_field_is_a_run_flag():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for action in commands.choices["run"]._actions for flag in action.option_strings}
+    assert {"--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)} <= flags
+
+
+def test_dump_config_round_trip(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("REGRETLAB_SEED", raising=False)
     argv = [
         "--case", "unrealizable", "--T", "10", "--d", "4",
         "--learners", "wm,wm_soa", "--perm", "sampled:50", "--seed", "13",
@@ -244,8 +253,7 @@ def test_dump_config_round_trip(capsys):
     ]
     code, out, _ = run_argv(argv, capsys)
     assert code == 0
-    config = ExperimentConfig.from_dict(json.loads(out))
-    assert config == ExperimentConfig(
+    assert out == ExperimentConfig(
         case="unrealizable",
         T=10,
         d=4,
@@ -258,7 +266,24 @@ def test_dump_config_round_trip(capsys):
         out=None,
         jobs=2,
         check_bounds=True,
-    )
+    ).to_json()
+    config_path = tmp_path / "dumped.json"
+    config_path.write_text(out)
+    code, again, err = run_argv(["--config", str(config_path), "--dump-config"], capsys)
+    assert code == 0, err
+    assert again.encode() == out.encode()
+
+
+def test_config_round_trip_keeps_out_and_no_check_bounds(capsys, tmp_path):
+    argv = ["--T", "4", "--d", "2", "--learners", "wm", "--out", str(tmp_path / "r.csv")]
+    code, out, _ = run_argv([*argv, "--no-check-bounds", "--dump-config"], capsys)
+    assert code == 0
+    assert json.loads(out)["check_bounds"] is False
+    config_path = tmp_path / "dumped.json"
+    config_path.write_text(out)
+    code, again, _ = run_argv(["--config", str(config_path), "--dump-config"], capsys)
+    assert code == 0
+    assert again == out
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):
@@ -282,6 +307,104 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["learners"] == ["halving"]  # flag wins
     assert doc["T"] == 5 and doc["seed"] == 3  # file values survive
+
+
+VALID_FILE = {"T": 5, "d": 2, "learners": ["wm"]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (dict(VALID_FILE, perm=3), "--perm must be"),
+        ([VALID_FILE], "must hold a JSON object"),
+        (dict(VALID_FILE, case="bogus"), "argument --case: invalid choice"),
+        (dict(VALID_FILE, eta_variant="bogus"), "argument --eta-variant: invalid choice"),
+        (dict(VALID_FILE, check_bounds="no"), "--check-bounds"),
+        (dict(VALID_FILE, seed="x"), "argument --seed"),
+        (dict(VALID_FILE, T="five"), "argument --T: invalid int value"),
+        (dict(VALID_FILE, jobs=[2]), "argument --jobs: invalid int value"),
+        ({"T": "5"}, "got d=0, T=5"),
+        (dict(VALID_FILE, config="other.json"), "unknown config keys"),
+    ],
+    ids=["perm-int", "array", "case", "eta-variant", "check-bounds-str", "seed-str",
+         "T-word", "jobs-list", "T-str-alone", "config-key"],
+)
+def test_hostile_config_file_fails_with_one_line(capsys, tmp_path, doc, message):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(doc))
+    code, out, err = run_argv(["--config", str(config_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        (dict(VALID_FILE, T="5"), ["--T", "5"]),
+        (dict(VALID_FILE, learners="wm"), ["--learners", "wm"]),
+        (dict(VALID_FILE, jobs="2"), ["--jobs", "2"]),
+        (dict(VALID_FILE, check_bounds=False, seed=None), ["--no-check-bounds"]),
+    ],
+    ids=["T-str", "learners-str", "jobs-str", "check-bounds-false"],
+)
+def test_config_value_reads_as_its_flag(capsys, monkeypatch, tmp_path, doc, flags):
+    monkeypatch.delenv("REGRETLAB_SEED", raising=False)
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(doc))
+    code_file, out_file, err = run_argv(["--config", str(config_path)], capsys)
+    assert code_file == 0, err
+    code_flag, out_flag, _ = run_argv(["--T", "5", "--d", "2", "--learners", "wm", *flags], capsys)
+    assert code_flag == 0
+    assert out_file == out_flag
+
+
+def test_config_file_overrides_seed_env(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("REGRETLAB_SEED", "21")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps(dict(VALID_FILE, seed=3)))
+    code, out, _ = run_argv(["--config", str(config_path), "--dump-config"], capsys)
+    assert code == 0
+    assert json.loads(out)["seed"] == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "file", "env"])
+def test_negative_seed_refused(capsys, monkeypatch, tmp_path, source):
+    monkeypatch.delenv("REGRETLAB_SEED", raising=False)
+    argv = ["--T", "5", "--d", "2", "--learners", "wm", "--perm", "sampled:2"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "file":
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(config_path)]
+    else:
+        monkeypatch.setenv("REGRETLAB_SEED", "-2")
+    code, out, err = run_argv(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert "non-negative" in err
+    if source == "env":
+        assert "REGRETLAB_SEED" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--T", "4", "--d", "2", "--learners", "wm", "--out"],
+        ["gen", "--T", "4", "--out"],
+    ],
+    ids=["run", "gen"],
+)
+def test_unwritable_out_fails_with_one_line(capsys, tmp_path, argv):
+    code, out, err = run_argv([*argv, str(tmp_path / "missing" / "report")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert "missing" in err
 
 
 def test_config_file_unknown_key(capsys, tmp_path):
