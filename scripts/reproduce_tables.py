@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Reproduce the benchmark tables at both scales and write the reports.
 
-Runs the wm and wm_halving learners over:
+Runs the wm, wm_halving and wm_soa learners over:
   * exhaustive permutations of the T=8, d=4 case (realizable and unrealizable)
   * 100 sampled permutations of the T=1000, d=500 case (both kinds)
 
-Writes one CSV per run plus a combined markdown summary. The sqrt2 learning
-rate is used because that is the configuration the published reference
-numbers correspond to; pass --eta-variant sqrt8 to compare against the rate
-the regret analysis is tuned for. wm_halving runs with the default ties-to-1
+wm is evaluated once per case and compared with each hybrid in turn. Writes
+one CSV per case and comparison, NAME.csv for (wm, wm_halving) and
+NAME_wm_soa.csv for (wm, wm_soa), plus a combined markdown summary with one
+two-learner table, Diff column included, per CSV. The sqrt2 learning rate is
+used because that is the configuration the published reference numbers
+correspond to; pass --eta-variant sqrt8 to compare against the rate the
+regret analysis is tuned for. wm_halving runs with the default ties-to-1
 rule, so its small realizable row reads 0.50 / 1.00 rather than the published
 0.91 / 2, which fair-coin ties reproduce (see README, "Known discrepancy in the
 acceptance suite").
@@ -36,6 +39,9 @@ RUNS = [
     ("large_realizable", ExperimentCase("realizable", 1000, 500), False, 100),
     ("large_unrealizable", ExperimentCase("unrealizable", 1000, 500), False, 100),
 ]
+LEARNERS = ("wm", "wm_halving", "wm_soa")
+# (CSV name suffix, hybrid compared with wm); the wm_halving files keep their old names
+PAIRS = (("", "wm_halving"), ("_wm_soa", "wm_soa"))
 
 
 def main() -> int:
@@ -56,20 +62,24 @@ def main() -> int:
         stream = PermutationStream(
             base, exhaustive=exhaustive, count=count, seed=(args.seed, 0)
         )
-        t0 = time.perf_counter()
-        reports = []
-        for kind in ("wm", "wm_halving"):
+        reports, seconds = {}, {}
+        for kind in LEARNERS:
             config = LearnerConfig(kind, eta_variant=args.eta_variant)
-            reports.append(with_bounds(evaluate(config, case, stream, jobs=args.jobs), cls))
-        elapsed = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            reports[kind] = with_bounds(evaluate(config, case, stream, jobs=args.jobs), cls)
+            seconds[kind] = time.perf_counter() - t0
 
-        csv_path = out_dir / f"{name}.csv"
-        csv_path.write_text(emit_report(reports, "csv"))
-        markdown_parts.append(f"## {name} ({len(stream)} permutations, {elapsed:.1f}s)\n")
-        markdown_parts.append(emit_report(reports, "markdown"))
-        bound_ok = all(v.passed for r in reports for v in r.bounds)
-        all_pass = all_pass and bound_ok
-        print(f"{name}: wrote {csv_path} ({elapsed:.1f}s, bounds {'ok' if bound_ok else 'FAILED'})")
+        for suffix, hybrid in PAIRS:
+            label = name + suffix
+            pair = [reports["wm"], reports[hybrid]]
+            elapsed = seconds["wm"] + seconds[hybrid]
+            csv_path = out_dir / f"{label}.csv"
+            csv_path.write_text(emit_report(pair, "csv"))
+            markdown_parts.append(f"## {label} ({len(stream)} permutations, {elapsed:.1f}s)\n")
+            markdown_parts.append(emit_report(pair, "markdown"))
+            bound_ok = all(v.passed for r in pair for v in r.bounds)
+            all_pass = all_pass and bound_ok
+            print(f"{label}: wrote {csv_path} ({elapsed:.1f}s, bounds {'ok' if bound_ok else 'FAILED'})")
 
     summary = out_dir / "summary.md"
     summary.write_text("\n".join(markdown_parts))

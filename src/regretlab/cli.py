@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 from .errors import RegretlabError
@@ -220,27 +221,24 @@ def _run_command(args: argparse.Namespace) -> int:
         sys.stdout.write(config.to_json())
         return 0
 
-    case = ExperimentCase(config.case, config.T, config.d)
-    cls, base = make_case_inputs(case)
-    stream = PermutationStream(
-        base, exhaustive=not orderings, count=orderings, seed=(config.seed, 0)
-    )
-    mode = Sampled((config.seed, 1), trials) if trials else ANALYTIC
+    # an unwritable --out fails here, before any class is built or learner run
+    out = open(config.out, "w", newline="") if config.out else nullcontext(sys.stdout)
+    with out as fh:
+        case = ExperimentCase(config.case, config.T, config.d)
+        cls, base = make_case_inputs(case)
+        stream = PermutationStream(
+            base, exhaustive=not orderings, count=orderings, seed=(config.seed, 0)
+        )
+        mode = Sampled((config.seed, 1), trials) if trials else ANALYTIC
 
-    reports = []
-    for kind in config.learners:
-        learner = LearnerConfig(kind, eta_variant=config.eta_variant)
-        report = evaluate(learner, case, stream, mode=mode, jobs=config.jobs)
-        if config.check_bounds:
-            with_bounds(report, cls)
-        reports.append(report)
-
-    text = emit_report(reports, config.format)
-    if config.out:
-        with open(config.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        reports = []
+        for kind in config.learners:
+            learner = LearnerConfig(kind, eta_variant=config.eta_variant)
+            report = evaluate(learner, case, stream, mode=mode, jobs=config.jobs)
+            if config.check_bounds:
+                with_bounds(report, cls)
+            reports.append(report)
+        fh.write(emit_report(reports, config.format))
 
     if config.check_bounds and any(not v.passed for r in reports for v in r.bounds):
         return 2

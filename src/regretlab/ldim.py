@@ -6,9 +6,19 @@ The dimension of a member set V is computed by the standard recursion:
     max over splitting points x of  1 + min(Ldim(V | x->0), Ldim(V | x->1)).
 
 Member sets are bitmasks. Each class has one memo of the values found so
-far, shared by every reader of the class and dropped with it. The recursion
-is pruned with the log2 cardinality ceiling, which never changes the result
-because no set of size s admits a shattered tree deeper than floor(log2 s).
+far, shared by every reader of the class and dropped with it. Next to it the
+class keeps its splitting columns, built on first use: the distinct
+per-point masks of hypotheses labeling 1, without the empty and the full
+mask, which split no member set. A threshold class over T points has at
+most d - 1 of them, however large T is.
+
+For each member set the recursion drops the columns that do not split it and
+the ones giving a restriction pair already seen, then tries the splits most
+even first, in decreasing order of their smaller side. Since no set of size
+s admits a shattered tree deeper than floor(log2 s), a split whose smaller
+side has s members is worth at most 1 + floor(log2 s); the search stops when
+that cannot beat the best value found, or when the best reaches
+floor(log2 |V|). Both stops leave every memo value exact.
 
 Witness trees are stored in heap order: node 1 is the root and the children
 of node i are 2i (label 0 branch) and 2i+1 (label 1 branch), so the node
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .errors import EmptyVersionSpace
@@ -29,6 +40,13 @@ WITNESS_D_CAP = 20
 
 # member bitmask -> Ldim, one memo per class; classes hash by identity (eq=False)
 _MEMOS: WeakKeyDictionary[FiniteHypothesisClass, dict[int, int]] = WeakKeyDictionary()
+# the class's distinct ones-masks other than empty and full, in column order
+_SPLITS: WeakKeyDictionary[FiniteHypothesisClass, tuple[int, ...]] = WeakKeyDictionary()
+
+
+def _splitting_columns(cls: FiniteHypothesisClass) -> tuple[int, ...]:
+    full = (1 << cls.d) - 1
+    return tuple(dict.fromkeys(m for m in map(cls.ones_mask, range(cls.n)) if 0 < m < full))
 
 
 @dataclass(frozen=True)
@@ -59,33 +77,36 @@ class LdimComputer:
 
     A view on the class's one memo, keyed on the member bitmask: every
     computer of a class reads and fills the same memo, which lives as long
-    as the class does.
+    as the class does, and reads the class's splitting columns.
     """
 
     def __init__(self, cls: FiniteHypothesisClass):
         self.cls = cls
         self._memo = _MEMOS.setdefault(cls, {})
+        splits = _SPLITS.get(cls)
+        if splits is None:
+            splits = _SPLITS[cls] = _splitting_columns(cls)
+        self._splits = splits
 
     def value(self, mask: int) -> int:
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
         size = mask.bit_count()
-        if size <= 1:
-            self._memo[mask] = 0
-            return 0
         cap = size.bit_length() - 1  # floor(log2 size)
-        best = 0
-        for j in range(self.cls.n):
-            ones = self.cls.ones_mask(j)
+        # one restriction side per distinct split -> size of the smaller side
+        smaller: dict[int, int] = {}
+        for ones in self._splits:
             m1 = mask & ones
-            m0 = mask & ~ones
-            if m1 and m0:
-                candidate = 1 + min(self.value(m0), self.value(m1))
-                if candidate > best:
-                    best = candidate
-                    if best >= cap:
-                        break
+            if m1 and m1 != mask:
+                m0 = mask ^ m1
+                ones_count = m1.bit_count()
+                smaller[min(m0, m1)] = min(ones_count, size - ones_count)
+        best = 0
+        for side, small in sorted(smaller.items(), key=itemgetter(1), reverse=True):
+            if best >= cap or small.bit_length() <= best:  # 1 + floor(log2 small) <= best
+                break
+            best = max(best, 1 + min(self.value(side), self.value(mask ^ side)))
         self._memo[mask] = best
         return best
 

@@ -3,7 +3,10 @@
 The Littlestone-dimension oracle enumerates every complete binary instance
 tree of a given depth (node values range over the whole domain) and checks
 all 2^depth root-to-leaf labelings directly against the member rows. It
-shares no code with the recursive computation it cross-checks.
+shares no code with the recursive computation it cross-checks. A second
+Littlestone-dimension oracle, `ldim_by_scan`, is the textbook recursion with
+no pruning: every domain point, lowest index first, with a memo of its own.
+It is fast enough for classes of a dozen members.
 
 The learner oracle, `reference_run`, is a plain round-by-round learner
 written from the definitions: an integer-mask version space narrowed by
@@ -88,6 +91,28 @@ def ldim_by_enumeration(cls: FiniteHypothesisClass, members: VersionSpace | None
     while exists_shattered_tree(cls, members, depth + 1):
         depth += 1
     return depth
+
+
+def ldim_by_scan(cls: FiniteHypothesisClass, mask: int | None = None) -> int:
+    """Ldim of the member bitmask (default: the whole class) by full recursion.
+
+    max over splitting points x of 1 + min(Ldim(V | x->0), Ldim(V | x->1)),
+    scanning every domain point of every state; 0 when none splits.
+    """
+    memo: dict[int, int] = {}
+
+    def value(m: int) -> int:
+        if m not in memo:
+            best = 0
+            for j in range(cls.n):
+                ones = cls.ones_mask(j)
+                m1, m0 = m & ones, m & ~ones
+                if m1 and m0:
+                    best = max(best, 1 + min(value(m0), value(m1)))
+            memo[m] = best
+        return memo[m]
+
+    return value(cls.full_space().mask if mask is None else mask)
 
 
 def _engine_prediction(engine, tie_break, cls, computer, space, x) -> tuple[float, bool]:

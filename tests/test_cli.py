@@ -407,6 +407,20 @@ def test_unwritable_out_fails_with_one_line(capsys, tmp_path, argv):
     assert "missing" in err
 
 
+def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):  # pragma: no cover - must not be called
+        raise AssertionError("work done before --out was checked")
+
+    monkeypatch.setattr(cli, "make_case_inputs", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    argv = ["run", "--T", "1000", "--d", "500", "--learners", "wm", "--perm", "sampled:100"]
+    code, out, err = run_argv([*argv, "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert "missing" in err
+
+
 def test_config_file_unknown_key(capsys, tmp_path):
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({"T": 5, "d": 2, "learners": ["wm"], "mystery": 1}))

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from regretlab import (
     EmptyVersionSpace,
+    ExperimentCase,
     LdimComputer,
     ShatteredTree,
     VersionSpace,
     ldim,
     ldim_witness_check,
+    make_case_inputs,
 )
 
 from .conftest import make_class
-from .oracles import exists_shattered_tree, ldim_by_enumeration
+from .oracles import exists_shattered_tree, ldim_by_enumeration, ldim_by_scan
 
 # the module; the package attribute `regretlab.ldim` is the function
 ldim_module = importlib.import_module("regretlab.ldim")
@@ -58,6 +60,38 @@ def test_threshold_class_dimension_verified_by_enumeration(threshold8):
     assert value == ldim_by_enumeration(threshold8)
     assert exists_shattered_tree(threshold8, None, value)
     assert not exists_shattered_tree(threshold8, None, value + 1)
+
+
+def test_threshold_witness_is_pinned(threshold8):
+    result = ldim(threshold8, want_witness=True)
+    assert result.witness == ShatteredTree(2, (2, 3, 1))
+
+
+def test_random_class_witness_is_pinned():
+    cls = make_class(
+        [
+            [0, 1, 0, 0, 0, 0],
+            [1, 1, 1, 1, 0, 0],
+            [1, 0, 0, 0, 1, 0],
+            [0, 0, 0, 1, 1, 1],
+            [1, 0, 0, 1, 1, 0],
+            [0, 0, 0, 1, 1, 1],
+            [1, 1, 0, 0, 0, 0],
+            [1, 0, 1, 0, 1, 1],
+            [1, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 0, 0],
+        ]
+    )
+    result = ldim(cls, want_witness=True)
+    assert result.witness == ShatteredTree(3, (4, 0, 3, 1, 2, 2, 0))
+    assert ldim_witness_check(cls, cls.full_space(), result.witness)
+
+
+def test_paper_scale_threshold_class():
+    """T=1000, d=500: Ldim is floor(log2 500), found in a memo of at most 1,000 states."""
+    cls, _ = make_case_inputs(ExperimentCase("realizable", 1000, 500))
+    assert ldim(cls).value == 8
+    assert len(LdimComputer(cls)._memo) <= 1000
 
 
 def test_witness_tree_shape_rule():
@@ -129,6 +163,7 @@ def test_monotone_in_members(table, raw_mask):
         return
     subset = VersionSpace(mask, cls.d)
     assert ldim(cls, subset).value <= ldim(cls).value
+    assert ldim(cls, subset).value == ldim_by_enumeration(cls, subset)
 
 
 @given(small_tables)
@@ -138,3 +173,31 @@ def test_witness_always_verifies(table):
     result = ldim(cls, want_witness=True)
     assert result.witness.depth == result.value
     assert ldim_witness_check(cls, cls.full_space(), result.witness)
+
+
+@st.composite
+def scan_classes(draw):
+    """Classes with d <= 13 and n <= 8, with constant and repeated columns mixed in."""
+    d = draw(st.integers(1, 13))
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "zeros", "ones", "repeat")))
+        if kind == "zeros":
+            columns.append([0] * d)
+        elif kind == "ones":
+            columns.append([1] * d)
+        elif kind == "repeat" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        else:
+            columns.append(draw(st.lists(st.integers(0, 1), min_size=d, max_size=d)))
+    return make_class(np.array(columns).T)
+
+
+@given(scan_classes(), st.lists(st.integers(1, 2**13 - 1), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_value_matches_full_scan(cls, raw_masks):
+    full = cls.full_space().mask
+    for mask in {m & full for m in raw_masks} - {0}:
+        fresh = make_class(cls.table)  # an empty memo, so the mask is computed, not read
+        assert LdimComputer(fresh).value(mask) == ldim_by_scan(cls, mask)
+    assert LdimComputer(cls).value(full) == ldim_by_scan(cls)
