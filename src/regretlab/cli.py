@@ -49,6 +49,7 @@ from .sequences import (
 SEED_ENV_VAR = "REGRETLAB_SEED"
 FORMATS = ("csv", "json", "markdown")
 MAX_T = 10_000  # ten times the paper's horizon; keeps a d x T table under 10^8 cells
+MAX_COUNT = 10**6  # sampled orderings or trials; ten thousand times the paper's 100 orderings
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def _learner_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_count(value: str, flag: str, bare: str) -> int:
-    """Parse `bare` into 0 and 'sampled:N' into N >= 1."""
+    """Parse `bare` into 0 and 'sampled:N' into N, 1 <= N <= MAX_COUNT."""
     if value == bare:
         return 0
     if value.startswith("sampled:"):
@@ -107,9 +108,11 @@ def _parse_count(value: str, flag: str, bare: str) -> int:
             count = int(value.split(":", 1)[1])
         except ValueError:
             count = 0
-        if count >= 1:
+        if 1 <= count <= MAX_COUNT:
             return count
-    raise ConfigError(f"{flag} must be {bare!r} or 'sampled:N' with N >= 1, got {value!r}")
+    raise ConfigError(
+        f"{flag} must be {bare!r} or 'sampled:N' with 1 <= N <= {MAX_COUNT}, got {value!r}"
+    )
 
 
 def build_parser() -> _Parser:

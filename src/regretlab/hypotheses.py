@@ -108,7 +108,7 @@ class FiniteHypothesisClass:
     _ones: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        table = np.ascontiguousarray(np.asarray(self.table, dtype=np.int8))
+        table = np.asarray(self.table)  # checked as given: an int8 cast would wrap 257 to 1
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValueError(f"table must be a non-empty 2-D matrix, got shape {table.shape}")
         if table.shape[1] != len(self.domain):
@@ -117,6 +117,7 @@ class FiniteHypothesisClass:
             raise ValueError("domain points must be distinct")
         if not np.isin(table, (0, 1)).all():
             raise ValueError("table entries must be 0 or 1")
+        table = np.ascontiguousarray(table, dtype=np.int8)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "domain", tuple(int(x) for x in self.domain))
         object.__setattr__(self, "_col", {x: j for j, x in enumerate(self.domain)})
@@ -159,7 +160,7 @@ class FiniteHypothesisClass:
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisClass":
         doc = json.loads(text)
-        return cls(tuple(doc["domain"]), np.array(doc["table"], dtype=np.int8))
+        return cls(tuple(doc["domain"]), doc["table"])
 
 
 def restrict(space: VersionSpace, cls: FiniteHypothesisClass, x: int, y: int) -> VersionSpace:

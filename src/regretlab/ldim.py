@@ -5,12 +5,13 @@ The dimension of a member set V is computed by the standard recursion:
 
     max over splitting points x of  1 + min(Ldim(V | x->0), Ldim(V | x->1)).
 
-Member sets are bitmasks. Each class has one memo of the values found so
-far, shared by every reader of the class and dropped with it. Next to it the
-class keeps its splitting columns, built on first use: the distinct
-per-point masks of hypotheses labeling 1, without the empty and the full
-mask, which split no member set. A threshold class over T points has at
-most d - 1 of them, however large T is.
+Member sets are bitmasks. Each class has one record, built on first use,
+shared by every reader of the class and dropped with it: the memo of the
+values found so far, and the class's splitting columns. Those are the
+distinct per-point masks of hypotheses labeling 1, without the empty and the
+full mask, which split no member set, each mapped to its lowest column
+index. A threshold class over T points has at most d - 1 of them, however
+large T is.
 
 For each member set the recursion drops the columns that do not split it and
 the ones giving a restriction pair already seen, then tries the splits most
@@ -20,10 +21,11 @@ side has s members is worth at most 1 + floor(log2 s); the search stops when
 that cannot beat the best value found, or when the best reaches
 floor(log2 |V|). Both stops leave every memo value exact.
 
-Witness trees are stored in heap order: node 1 is the root and the children
-of node i are 2i (label 0 branch) and 2i+1 (label 1 branch), so the node
-visited at level t along labels (y_1, ..., y_{t-1}) has index
-2^(t-1) + sum_j y_j 2^(t-1-j).
+Witness trees walk the same splitting columns in column order, so each node
+is the lowest-indexed domain point that supports the remaining depth. They
+are stored in heap order: node 1 is the root and the children of node i are
+2i (label 0 branch) and 2i+1 (label 1 branch), so the node visited at level t
+along labels (y_1, ..., y_{t-1}) has index 2^(t-1) + sum_j y_j 2^(t-1-j).
 """
 
 from __future__ import annotations
@@ -38,15 +40,19 @@ from .hypotheses import FiniteHypothesisClass, VersionSpace
 
 WITNESS_D_CAP = 20
 
-# member bitmask -> Ldim, one memo per class; classes hash by identity (eq=False)
-_MEMOS: WeakKeyDictionary[FiniteHypothesisClass, dict[int, int]] = WeakKeyDictionary()
-# the class's distinct ones-masks other than empty and full, in column order
-_SPLITS: WeakKeyDictionary[FiniteHypothesisClass, tuple[int, ...]] = WeakKeyDictionary()
+# one record per class: (member bitmask -> Ldim, splitting ones-mask -> lowest
+# column index); classes hash by identity (eq=False)
+_MEMOS: WeakKeyDictionary[FiniteHypothesisClass, tuple[dict, dict]] = WeakKeyDictionary()
 
 
-def _splitting_columns(cls: FiniteHypothesisClass) -> tuple[int, ...]:
+def _splitting_columns(cls: FiniteHypothesisClass) -> dict[int, int]:
+    """Each distinct ones-mask other than empty and full -> its lowest column, in column order."""
     full = (1 << cls.d) - 1
-    return tuple(dict.fromkeys(m for m in map(cls.ones_mask, range(cls.n)) if 0 < m < full))
+    splits: dict[int, int] = {}
+    for j, ones in enumerate(map(cls.ones_mask, range(cls.n))):
+        if 0 < ones < full:
+            splits.setdefault(ones, j)
+    return splits
 
 
 @dataclass(frozen=True)
@@ -75,18 +81,17 @@ class LdimResult:
 class LdimComputer:
     """Littlestone-dimension evaluator for one hypothesis class.
 
-    A view on the class's one memo, keyed on the member bitmask: every
-    computer of a class reads and fills the same memo, which lives as long
-    as the class does, and reads the class's splitting columns.
+    A view on the class's one record: every computer of a class reads and
+    fills the same memo, keyed on the member bitmask, and walks the same
+    splitting columns; the record lives as long as the class does.
     """
 
     def __init__(self, cls: FiniteHypothesisClass):
         self.cls = cls
-        self._memo = _MEMOS.setdefault(cls, {})
-        splits = _SPLITS.get(cls)
-        if splits is None:
-            splits = _SPLITS[cls] = _splitting_columns(cls)
-        self._splits = splits
+        record = _MEMOS.get(cls)
+        if record is None:
+            record = _MEMOS[cls] = ({}, _splitting_columns(cls))
+        self._memo, self._splits = record
 
     def value(self, mask: int) -> int:
         cached = self._memo.get(mask)
@@ -113,33 +118,26 @@ class LdimComputer:
     def witness(self, mask: int, depth: int) -> tuple[int, ...]:
         """Nodes of a depth-`depth` tree shattered by the members of `mask`.
 
-        Requires value(mask) >= depth. Splitting points are chosen as the
-        lowest-indexed domain point whose two restriction sides both still
-        support depth - 1, which makes the witness deterministic.
+        Requires value(mask) >= depth. Each node is the lowest-indexed domain
+        point whose two restriction sides both still support the remaining
+        depth, which makes the witness deterministic.
         """
-        if depth == 0:
-            return ()
-        for j in range(self.cls.n):
-            ones = self.cls.ones_mask(j)
-            m1 = mask & ones
-            m0 = mask & ~ones
-            if m1 and m0 and min(self.value(m0), self.value(m1)) >= depth - 1:
-                left = self.witness(m0, depth - 1)
-                right = self.witness(m1, depth - 1)
-                return _graft(self.cls.domain[j], left, right, depth)
-        raise AssertionError(f"no splitting point supports depth {depth}")
-
-
-def _graft(
-    root: int, left: tuple[int, ...], right: tuple[int, ...], depth: int
-) -> tuple[int, ...]:
-    """Assemble heap-ordered nodes from a root and two depth-(d-1) subtrees."""
-    nodes = [root]
-    # level k of the subtrees (k = 0 .. depth-2) becomes level k+1 of the tree
-    for level in range(depth - 1):
-        start, width = (1 << level) - 1, 1 << level
-        nodes += list(left[start : start + width]) + list(right[start : start + width])
-    return tuple(nodes)
+        nodes = [0] * ((1 << depth) - 1)
+        pending = [(mask, depth, 1)]  # (member set, depth to support, heap index)
+        while pending:
+            m, k, i = pending.pop()
+            if k == 0:
+                continue
+            for ones, j in self._splits.items():
+                m1 = m & ones
+                m0 = m ^ m1
+                if m1 and m0 and min(self.value(m0), self.value(m1)) >= k - 1:
+                    nodes[i - 1] = self.cls.domain[j]
+                    pending += [(m0, k - 1, 2 * i), (m1, k - 1, 2 * i + 1)]
+                    break
+            else:
+                raise AssertionError(f"no splitting point supports depth {k}")
+        return tuple(nodes)
 
 
 def ldim(

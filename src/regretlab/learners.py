@@ -6,7 +6,8 @@ with none. Its prediction is a function of that state and the instance:
 
 - consistent: the label of the lowest surviving hypothesis;
 - halving: the majority vote of the survivors (ties by `tie_break`);
-- soa: the label whose restriction keeps the larger Littlestone dimension;
+- soa: the label whose restriction keeps the larger Littlestone dimension,
+  read from the class's one Ldim memo (ties go to 1; an empty side loses);
 - wm: P(predict 1) = the weight mass on 1, weights exp(-eta * mistakes);
 - wm_consistent, wm_halving, wm_soa: the engine while the version space is
   non-empty, then wm on the same mistake counts.
@@ -87,19 +88,6 @@ def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
     m = np.asarray(mistakes, dtype=np.float64)
     w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
     return w / w.sum(axis=-1, keepdims=True)
-
-
-def soa_label(computer: LdimComputer, mask: int, ones: int) -> int:
-    """The label whose restriction of `mask` keeps the larger Ldim; ties go to 1.
-
-    `ones` is the mask of hypotheses labeling the instance 1. An empty
-    restriction side counts as Ldim -1 so the non-empty side always wins.
-    """
-    m1 = mask & ones
-    m0 = mask & ~ones
-    l1 = computer.value(m1) if m1 else -1
-    l0 = computer.value(m0) if m0 else -1
-    return 1 if l1 >= l0 else 0
 
 
 @dataclass(frozen=True)
@@ -395,5 +383,11 @@ def _engine_p_one(
         p = (ones > zeros).astype(np.float64)
         p[ones == zeros] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
         return p
-    labels = [soa_label(computer, mask, cls.ones_mask(j)) for mask, j in zip(bitmasks(space), cols)]
-    return np.array(labels, dtype=np.float64)
+    # soa: the side keeping the larger Ldim; ties go to 1, and an empty side
+    # counts as Ldim -1 so the non-empty side always wins
+    p = []
+    for mask, j in zip(bitmasks(space), cols):
+        m1 = mask & cls.ones_mask(j)
+        m0 = mask ^ m1
+        p.append(float((computer.value(m1) if m1 else -1) >= (computer.value(m0) if m0 else -1)))
+    return np.array(p)

@@ -54,7 +54,7 @@ def make_threshold_class(d: int, domain: tuple[int, ...]) -> FiniteHypothesisCla
     if not 1 <= d <= len(domain):
         raise ValueError(f"d must satisfy 1 <= d <= |domain|, got d={d}, n={len(domain)}")
     xs = np.array(domain)
-    table = np.stack([(xs > i).astype(np.int8) for i in range(d)])
+    table = (xs[None, :] > np.arange(d)[:, None]).astype(np.int8)
     return FiniteHypothesisClass(tuple(domain), table)
 
 

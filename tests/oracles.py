@@ -6,16 +6,17 @@ all 2^depth root-to-leaf labelings directly against the member rows. It
 shares no code with the recursive computation it cross-checks. A second
 Littlestone-dimension oracle, `ldim_by_scan`, is the textbook recursion with
 no pruning: every domain point, lowest index first, with a memo of its own.
-It is fast enough for classes of a dozen members.
+It is fast enough for classes of a dozen members. `witness_by_scan` builds
+the lowest-index witness tree from its values the same way, over every
+domain point.
 
 The learner oracle, `reference_run`, is a plain round-by-round learner
 written from the definitions: an integer-mask version space narrowed by
-`restrict`, halving by counting votes, SOA through `soa_label` on the
-class's one Ldim memo (whose values the tree oracle above cross-checks), and
-weighted majority with `math.exp` weights over a list of mistake counts.
-Apart from `soa_label` and that memo it shares no code with the batched
-kernel behind `run` and `run_batch`; `per_ordering_values` runs it once per
-ordering to cross-check `run_batch`.
+`restrict`, halving by counting votes, SOA by comparing `ldim_by_scan` on
+the two restriction sides (one scan memo per run), and weighted majority
+with `math.exp` weights over a list of mistake counts. It shares no Ldim,
+SOA or kernel code with `run` and `run_batch`; `per_ordering_values` runs it
+once per ordering to cross-check `run_batch`.
 """
 
 import math
@@ -26,7 +27,6 @@ import numpy as np
 from regretlab import (
     ANALYTIC,
     FiniteHypothesisClass,
-    LdimComputer,
     RunTrace,
     Sampled,
     Sequence,
@@ -35,7 +35,7 @@ from regretlab import (
     eta_for,
     restrict,
 )
-from regretlab.learners import BASELINE_KINDS, HYBRID_KINDS, RoundRecord, soa_label
+from regretlab.learners import BASELINE_KINDS, HYBRID_KINDS, RoundRecord
 
 _TREE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -93,13 +93,16 @@ def ldim_by_enumeration(cls: FiniteHypothesisClass, members: VersionSpace | None
     return depth
 
 
-def ldim_by_scan(cls: FiniteHypothesisClass, mask: int | None = None) -> int:
+def ldim_by_scan(
+    cls: FiniteHypothesisClass, mask: int | None = None, memo: dict[int, int] | None = None
+) -> int:
     """Ldim of the member bitmask (default: the whole class) by full recursion.
 
     max over splitting points x of 1 + min(Ldim(V | x->0), Ldim(V | x->1)),
-    scanning every domain point of every state; 0 when none splits.
+    scanning every domain point of every state; 0 when none splits. `memo`
+    (member bitmask -> Ldim) carries values between calls on one class.
     """
-    memo: dict[int, int] = {}
+    memo = {} if memo is None else memo
 
     def value(m: int) -> int:
         if m not in memo:
@@ -115,7 +118,35 @@ def ldim_by_scan(cls: FiniteHypothesisClass, mask: int | None = None) -> int:
     return value(cls.full_space().mask if mask is None else mask)
 
 
-def _engine_prediction(engine, tie_break, cls, computer, space, x) -> tuple[float, bool]:
+def witness_by_scan(cls: FiniteHypothesisClass, mask: int | None = None) -> tuple[int, ...]:
+    """Heap-ordered nodes of a depth-Ldim tree shattered by the member bitmask.
+
+    Each node is the lowest-indexed domain point whose two restriction sides
+    both support the remaining depth, by `ldim_by_scan` values.
+    """
+    memo: dict[int, int] = {}
+
+    def witness(m: int, depth: int) -> tuple[int, ...]:
+        if depth == 0:
+            return ()
+        for j in range(cls.n):
+            ones = cls.ones_mask(j)
+            m1, m0 = m & ones, m & ~ones
+            if m1 and m0 and min(ldim_by_scan(cls, side, memo) for side in (m0, m1)) >= depth - 1:
+                left, right = witness(m0, depth - 1), witness(m1, depth - 1)
+                nodes = [cls.domain[j]]
+                # level k of the subtrees (k = 0 .. depth-2) becomes level k+1 of the tree
+                for level in range(depth - 1):
+                    start, width = (1 << level) - 1, 1 << level
+                    nodes += left[start : start + width] + right[start : start + width]
+                return tuple(nodes)
+        raise AssertionError(f"no splitting point supports depth {depth}")
+
+    mask = cls.full_space().mask if mask is None else mask
+    return witness(mask, ldim_by_scan(cls, mask, memo))
+
+
+def _engine_prediction(engine, tie_break, cls, scan_memo, space, x) -> tuple[float, bool]:
     """(P(predict 1), randomized) of a version-space rule on a non-empty space."""
     if engine == "consistent":
         return float(cls.evaluate(space.min_index(), x)), False
@@ -127,8 +158,12 @@ def _engine_prediction(engine, tie_break, cls, computer, space, x) -> tuple[floa
         if tie_break == "random":
             return 0.5, True
         return float(tie_break == "one"), False
-    ones_mask = cls.ones_mask(cls.column_index(x))
-    return float(soa_label(computer, space.mask, ones_mask)), False
+    # soa: the label whose side keeps the larger Ldim; ties go to 1, an empty side loses
+    l0, l1 = (
+        ldim_by_scan(cls, side.mask, scan_memo) if side else -1
+        for side in (restrict(space, cls, x, 0), restrict(space, cls, x, 1))
+    )
+    return float(l1 >= l0), False
 
 
 def _wm_prediction(eta: float, mistakes: list[int], advice: list[int]) -> float:
@@ -144,7 +179,7 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
     kind = config.kind
     engine = None if kind == "wm" else kind.removeprefix("wm_")
     eta = eta_for(cls.d, len(examples), config.eta_variant)
-    computer = LdimComputer(cls)
+    scan_memo: dict[int, int] = {}
     space = cls.full_space()
     mistakes = [0] * cls.d
     p_ones, randomized = [], []
@@ -154,7 +189,7 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
             raise ValueError(f"label must be 0 or 1, got {y!r}")
         advice = [cls.evaluate(i, x) for i in range(cls.d)]
         if engine is not None and space:
-            p, r = _engine_prediction(engine, config.tie_break, cls, computer, space, x)
+            p, r = _engine_prediction(engine, config.tie_break, cls, scan_memo, space, x)
         elif kind in BASELINE_KINDS:
             raise WrongPhase("version space is empty")
         else:

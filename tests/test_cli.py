@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from regretlab import cli
-from regretlab.cli import MAX_T, ExperimentConfig, build_parser, run_cli
+from regretlab.cli import MAX_COUNT, MAX_T, ExperimentConfig, build_parser, run_cli
 
 TABLE_CSV_REALIZABLE = (
     "t,x,y\n"
@@ -480,6 +480,28 @@ def test_horizon_at_cap_accepted(capsys):
     code, out, _ = run_argv(argv, capsys)
     assert code == 0
     assert json.loads(out)["T"] == MAX_T
+
+
+@pytest.mark.parametrize("flag", ["--perm", "--mode"])
+def test_huge_sampled_count_refused_before_building(capsys, monkeypatch, flag):
+    def no_build(case):  # pragma: no cover - must not be called
+        raise AssertionError("class built for a refused count")
+
+    monkeypatch.setattr(cli, "make_case_inputs", no_build)
+    argv = ["run", "--T", "8", "--d", "4", "--learners", "wm", flag, "sampled:100000000000000000000"]
+    code, out, err = run_argv(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert f"1 <= N <= {MAX_COUNT}" in err
+
+
+@pytest.mark.parametrize("flag", ["--perm", "--mode"])
+def test_sampled_count_at_cap_accepted(capsys, flag):
+    argv = ["--T", "8", "--d", "4", "--learners", "wm", flag, f"sampled:{MAX_COUNT}", "--dump-config"]
+    code, out, _ = run_argv(argv, capsys)
+    assert code == 0
+    assert json.loads(out)[flag[2:]] == f"sampled:{MAX_COUNT}"
 
 
 def test_cli_module_runs_like_package():

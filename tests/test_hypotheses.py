@@ -118,6 +118,15 @@ def test_class_validation():
         FiniteHypothesisClass((), np.zeros((1, 0), dtype=np.int8))
 
 
+@pytest.mark.parametrize("entry", [257, 256, -255, 2])
+def test_class_checks_entries_before_the_int8_cast(entry):
+    """257 and 256 would wrap to 1 and 0 in int8; from_json would hit numpy's OverflowError."""
+    with pytest.raises(ValueError, match="0 or 1"):
+        FiniteHypothesisClass((0, 1), np.array([[entry, 0]]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        FiniteHypothesisClass.from_json(json.dumps({"domain": [0, 1], "table": [[entry, 0]]}))
+
+
 def test_json_round_trip(threshold8):
     doc = json.loads(threshold8.to_json())
     assert set(doc) == {"domain", "table"}

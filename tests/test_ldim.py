@@ -19,7 +19,7 @@ from regretlab import (
 )
 
 from .conftest import make_class
-from .oracles import exists_shattered_tree, ldim_by_enumeration, ldim_by_scan
+from .oracles import exists_shattered_tree, ldim_by_enumeration, ldim_by_scan, witness_by_scan
 
 # the module; the package attribute `regretlab.ldim` is the function
 ldim_module = importlib.import_module("regretlab.ldim")
@@ -121,14 +121,14 @@ def test_memo_is_per_class(quad_class, threshold8):
 def test_memo_is_dropped_with_its_class():
     gc.collect()
     cls = make_class([[0, 1, 1], [0, 0, 1], [1, 1, 1]])
-    memo = LdimComputer(cls)._memo
     assert ldim(cls).value == 1
-    assert memo and ldim_module._MEMOS[cls] is memo
+    memo, _ = ldim_module._MEMOS[cls]
+    assert memo and LdimComputer(cls)._memo is memo
     alive = weakref.ref(cls)
     del cls
     gc.collect()
     assert alive() is None
-    assert all(m is not memo for m in ldim_module._MEMOS.values())
+    assert all(m is not memo for m, _ in ldim_module._MEMOS.values())
 
 
 small_tables = st.integers(1, 6).flatmap(
@@ -201,3 +201,12 @@ def test_value_matches_full_scan(cls, raw_masks):
         fresh = make_class(cls.table)  # an empty memo, so the mask is computed, not read
         assert LdimComputer(fresh).value(mask) == ldim_by_scan(cls, mask)
     assert LdimComputer(cls).value(full) == ldim_by_scan(cls)
+
+
+@given(scan_classes())
+@settings(max_examples=150, deadline=None)
+def test_witness_matches_full_scan(cls):
+    """The splitting-column witness is the lowest-index witness over all domain points."""
+    result = ldim(cls, want_witness=True)
+    assert result.witness.nodes == witness_by_scan(cls)
+    assert ldim_witness_check(cls, cls.full_space(), result.witness)

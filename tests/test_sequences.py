@@ -54,6 +54,14 @@ def test_threshold_class_matches_reference_columns(threshold8):
     assert (cls.table == threshold8.table).all()
 
 
+@pytest.mark.parametrize("T, d", [(1, 1), (7, 4), (8, 5), (1000, 500)])
+def test_threshold_table_bytes_match_row_definition(T, d):
+    domain = make_domain(T)
+    rows = np.stack([(np.array(domain) > i).astype(np.int8) for i in range(d)])
+    table = make_threshold_class(d, domain).table
+    assert table.dtype == np.int8 and table.tobytes() == rows.tobytes()
+
+
 def test_threshold_splits_at_origin():
     cls = make_threshold_class(1, make_domain(8))
     assert cls.evaluate(0, 0) == 0
