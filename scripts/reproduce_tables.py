@@ -49,7 +49,12 @@ def main() -> int:
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--eta-variant", choices=ETA_VARIANTS, default="sqrt2")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for the sampled (large) cases; the exhaustive cases run in one process",
+    )
     args = parser.parse_args()
 
     out_dir = Path(args.out)

@@ -1,13 +1,17 @@
 """Permutation harness: drive learners over reorderings, aggregate, check bounds.
 
-The orderings of a stream run as batches through `learners.run_batch`, which
-advances every ordering of a batch together, round by round, from a fresh
-learner state; there is no learner object per ordering. Expectations are
-means of per-ordering analytic expected mistakes, so exhaustive runs are
-exactly reproducible. Sampled-realized maxima are reported alongside the
-analytic maxima because the two readings of a "max mistakes" column differ
-for randomized learners. With jobs > 1 the stream is split into contiguous
-index ranges, one per worker process.
+The orderings of a sampled stream run as batches through
+`learners.run_batch`, which advances every ordering of a batch together,
+round by round, from a fresh learner state; there is no learner object per
+ordering. An exhaustive stream runs through `learners.run_exhaustive`, which
+predicts once per (prefix type counts, next example type) and reads every
+ordering's rounds from that table, with the same per-ordering values.
+Expectations are means of per-ordering analytic expected mistakes, so
+exhaustive runs are exactly reproducible. Sampled-realized maxima are
+reported alongside the analytic maxima because the two readings of a "max
+mistakes" column differ for randomized learners. With jobs > 1 a sampled
+stream is split into contiguous index ranges, one per worker process; an
+exhaustive stream always runs in this process.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ import numpy as np
 
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
-from .learners import ANALYTIC, HYBRID_KINDS, Analytic, LearnerConfig, Sampled, run_batch
+from .learners import (
+    ANALYTIC,
+    HYBRID_KINDS,
+    Analytic,
+    LearnerConfig,
+    Sampled,
+    run_batch,
+    run_exhaustive,
+)
 # Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch.
 from .learners import run  # noqa: F401
 from .ldim import ldim
@@ -78,42 +90,18 @@ def evaluate(
 ) -> PermutationReport:
     """Run the learner from a fresh state on every ordering in the stream and aggregate.
 
-    Worker processes are capped at the ordering count and the CPU count.
+    Exhaustive streams run in this process. Sampled streams use up to `jobs`
+    worker processes, capped at the ordering count and the CPU count.
     """
     cls, base = make_case_inputs(case)
     if stream.base.examples != base.examples:
         raise ValueError("stream base sequence does not match the case")
-
-    total = len(stream)
-    jobs = max(1, min(jobs, total, os.cpu_count() or 1))
-    if jobs == 1:
-        chunks = [run_batch(config, cls, base, stream.orders(), mode)]
-    else:
-        bounds_ = np.linspace(0, total, jobs + 1, dtype=int)
-        args = [
-            (config, case, stream, mode, int(a), int(b))
-            for a, b in zip(bounds_[:-1], bounds_[1:])
-            if b > a
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_chunk_values, args))
-
-    expected = np.concatenate([c[0] for c in chunks])
-    realized = np.concatenate([c[1] for c in chunks])
-    randomized = any(c[2] for c in chunks)
-
-    profile = mistake_profile(cls, base)
-    best, _ = best_mistakes(profile)
-    mean = float(expected.mean())
-    max_analytic = float(expected.max())
-    if realized.size:
-        max_sampled: float | None = float(realized.max())
-    else:
-        max_sampled = None if randomized else max_analytic
+    mean, max_analytic, max_sampled = _stream_summary(config, cls, stream, mode, jobs)
+    best, _ = best_mistakes(mistake_profile(cls, base))
     return PermutationReport(
         learner=config,
         case=case,
-        permutation_count=total,
+        permutation_count=len(stream),
         best_mistakes=best,
         expected_mistakes=mean,
         max_mistakes=max_analytic,
@@ -122,11 +110,47 @@ def evaluate(
     )
 
 
+def _stream_summary(
+    config: LearnerConfig,
+    cls: FiniteHypothesisClass,
+    stream: PermutationStream,
+    mode: Analytic | Sampled = ANALYTIC,
+    jobs: int = 1,
+) -> tuple[float, float, float | None]:
+    """(mean, max) of the per-ordering expected mistakes and the sampled maximum over the stream.
+
+    The sampled maximum is the realized one in sampled mode; in analytic mode
+    it is the analytic maximum for a deterministic learner and None for a
+    randomized one.
+    """
+    if stream.exhaustive:
+        expected, realized, randomized = run_exhaustive(config, cls, stream, mode)
+    else:
+        total = len(stream)
+        jobs = max(1, min(jobs, total, os.cpu_count() or 1))
+        if jobs == 1:
+            chunks = [run_batch(config, cls, stream.base, stream.orders(), mode)]
+        else:
+            bounds_ = np.linspace(0, total, jobs + 1, dtype=int)
+            args = [(config, cls, stream, mode, int(a), int(b)) for a, b in zip(bounds_[:-1], bounds_[1:])]
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                chunks = list(pool.map(_chunk_values, args))
+        expected = np.concatenate([c[0] for c in chunks])
+        realized = np.concatenate([c[1] for c in chunks])
+        randomized = any(c[2] for c in chunks)
+
+    max_analytic = float(expected.max())
+    if realized.size:
+        max_sampled: float | None = float(realized.max())
+    else:
+        max_sampled = None if randomized else max_analytic
+    return float(expected.mean()), max_analytic, max_sampled
+
+
 def _chunk_values(args) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Worker: `run_batch` over orderings start..stop of the stream."""
-    config, case, stream, mode, start, stop = args
-    cls, base = make_case_inputs(case)
-    return run_batch(config, cls, base, islice(stream.orders(), start, stop), mode, start)
+    """Worker: `run_batch` over orderings start..stop of a sampled stream."""
+    config, cls, stream, mode, start, stop = args
+    return run_batch(config, cls, stream.base, islice(stream.orders(), start, stop), mode, start)
 
 
 # Version-space mistake bound of each engine: (label, value for the class). It is the

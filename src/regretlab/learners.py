@@ -23,6 +23,9 @@ at a time. Mistake counts are integers, so its wm weights come from one
 table of exp(-eta * k) over the integer gaps k <= t above each row's fewest
 mistakes, with no exp per round. `run_batch` gives per-ordering totals over
 many orderings; `run` is its one-ordering case and keeps the per-round record.
+`run_exhaustive` gives the same totals over every ordering of an exhaustive
+stream from one table of predictions, one per (prefix type counts, next
+example type). All three predict through one row rule, `_row_rule`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .hypotheses import FiniteHypothesisClass, Sequence, bitmasks, mistake_profi
 # Not called here: kept as the attribute perfbench/spans.py wraps as `learners.restrict`.
 from .hypotheses import restrict  # noqa: F401
 from .ldim import LdimComputer
+from .sequences import BATCH_ORDERINGS, PermutationStream
 
 BASELINE_KINDS = ("consistent", "halving", "soa")
 HYBRID_KINDS = ("wm_consistent", "wm_halving", "wm_soa")
@@ -245,9 +249,6 @@ def run(
     )
 
 
-BATCH_ORDERINGS = 1024  # orderings advanced together; bounds memory at T = 9 (9! orderings)
-
-
 def _rounds(cls: FiniteHypothesisClass, examples) -> tuple[np.ndarray, np.ndarray]:
     """(column index, label == 1) of each example; every example is checked before any round."""
     for _, y in examples:
@@ -280,22 +281,85 @@ def run_batch(
     examples = tuple(base)
     T = len(examples)
     cols, truth = _rounds(cls, examples)
-
-    expected, realized = [], []
     randomized = False
-    orders = iter(orders)
+
+    def batches():
+        nonlocal randomized
+        orders_ = iter(orders)
+        while batch := list(islice(orders_, BATCH_ORDERINGS)):
+            positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
+            ys = truth[positions]
+            p_one, engine_rounds = _batch_p_one(config, cls, cols[positions], ys)
+            # any wm-phase round or random halving tie, as `run` flags them per round
+            randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
+            yield p_one, ys
+
+    expected, realized = _totals(batches(), mode, first_index)
+    return expected, realized, randomized
+
+
+def run_exhaustive(
+    config: LearnerConfig,
+    cls: FiniteHypothesisClass,
+    stream: PermutationStream,
+    mode: Analytic | Sampled = ANALYTIC,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """What `run_batch` gives over every ordering of an exhaustive stream, in stream order.
+
+    A learner sees an example only through its type, the pair (advice column,
+    label). So its state after a prefix is fixed by how many examples of each
+    type the prefix holds: mistakes = counts @ wrong_of_type. The row rule
+    runs once, on every pair (counts c <= n, next type k with c_k < n_k), and
+    each ordering reads its rounds from that table at the mixed-radix ids of
+    its prefix counts. Every such pair is the state and next example of some
+    ordering, so WrongPhase and the randomized flag read the whole table, and
+    the per-ordering totals are summed as `run_batch` sums them.
+    """
+    blocks = stream.blocks(BATCH_ORDERINGS)  # refuses T above the cap before any allocation
+    examples = stream.base.examples
+    T = len(examples)
+    cols, truth = _rounds(cls, examples)
+    advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
+    types: dict[tuple[bytes, bool], int] = {}
+    type_of = np.array(
+        [types.setdefault((advice_of[j].tobytes(), bool(y)), len(types)) for j, y in zip(cols, truth)],
+        dtype=np.intp,
+    )
+    first = np.unique(type_of, return_index=True)[1]  # each type's first example
+    type_cols, type_truth = cols[first], truth[first]
+    n = np.bincount(type_of, minlength=len(types))
+    stride = np.cumprod(n + 1) // (n + 1)  # exclusive: type k counts in units of stride[k]
+    counts = np.arange(np.prod(n + 1))[:, None] // stride % (n + 1)  # (states, types)
+    wrong = advice_of[type_cols] != type_truth[:, None]  # (types, d)
+    state, k = np.nonzero(counts < n)
+    p, in_space = _row_rule(config, cls, T)(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
+    randomized = bool((~in_space).any() or (p == 0.5).any())
+    table = np.zeros(counts.shape)
+    table[state, k] = p
+
+    def batches():
+        for positions in blocks:
+            kinds = type_of[positions]
+            steps = stride[kinds]
+            yield table[np.cumsum(steps, axis=1) - steps, kinds], truth[positions]
+
+    expected, realized = _totals(batches(), mode, 0)
+    return expected, realized, randomized
+
+
+def _totals(batches, mode: Analytic | Sampled, first_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(expected mistakes, realized maximum -- empty in analytic mode) per ordering of (p_one, ys) batches.
+
+    Ordering k overall is drawn, in sampled mode, from mode.seed + (first_index + k,).
+    """
+    expected, realized = [], []
     index = first_index
-    while batch := list(islice(orders, BATCH_ORDERINGS)):
-        positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
-        ys = truth[positions]
-        p_one, engine_rounds = _batch_p_one(config, cls, cols[positions], ys)
-        # any wm-phase round or random halving tie, as `run` flags them per round
-        randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
+    for p_one, ys in batches:
         if isinstance(mode, Sampled):
             seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
-            totals = np.empty(len(batch))
-            maxima = np.empty(len(batch), dtype=np.int64)
-            for k in range(len(batch)):
+            totals = np.empty(len(p_one))
+            maxima = np.empty(len(p_one), dtype=np.int64)
+            for k in range(len(p_one)):
                 maxima[k], round_probs, _ = sample_mistakes(
                     seed + (index + k,), mode.trials, p_one[k], ys[k], keep_trials=False
                 )
@@ -304,11 +368,10 @@ def run_batch(
             realized.append(maxima)
         else:
             expected.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=1))
-        index += len(batch)
+        index += len(p_one)
     return (
         np.concatenate(expected) if expected else np.empty(0),
         np.concatenate(realized) if realized else np.empty(0, dtype=np.int64),
-        randomized,
     )
 
 
@@ -320,48 +383,63 @@ def _batch_p_one(
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(predict 1), (B, T), for B orderings at once, and each row's engine round count.
 
-    Row b's state is one row of expert mistake counts; its version space is
-    the experts with none, and it is non-empty while the row's fewest
-    mistakes is 0. Round t's advice is advice_of[cols[:, t]], one (B, d)
-    array. A version space never grows, so the engine predicts in the first
-    engine_rounds[b] rounds of row b and wm in the rest.
-
-    Mistake counts are integers and a row's gap above its own minimum is at
-    most t, so the wm weights exp(-eta * (m - min m)) are read from the table
-    decay[k] = exp(-eta * k), k = 0 .. T, built once per call; P(1) is the
-    weight on 1 over the total weight, capped at 1.
+    Row b's state is one row of expert mistake counts, and round t's advice
+    is advice_of[cols[:, t]], one (B, d) array; the row rule maps both to the
+    round's predictions. A version space never grows, so the engine predicts
+    in the first engine_rounds[b] rounds of row b and wm in the rest.
     """
     B, T = cols.shape
-    kind = config.kind
-    engine = None if kind == "wm" else kind.removeprefix("wm_")
-    computer = LdimComputer(cls) if engine == "soa" else None
+    p_rows = _row_rule(config, cls, T)
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
-    decay = np.exp(-eta_for(cls.d, T, config.eta_variant) * np.arange(T + 1))
     mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
     engine_rounds = np.zeros(B, dtype=np.int64)
     p_one = np.empty((B, T))
-    all_in = any_in = False  # wm has no engine: every round is a wm round
     for t in range(T):
         advice = advice_of[cols[:, t]]
+        p_one[:, t], in_space = p_rows(mistakes, advice, cols[:, t])
+        engine_rounds += in_space
+        mistakes += advice != truth[:, t, None]
+    return p_one, engine_rounds
+
+
+def _row_rule(config: LearnerConfig, cls: FiniteHypothesisClass, T: int):
+    """The learner's prediction on rows, for sequences of length T.
+
+    The returned function maps R rows of (expert mistake counts, advice on
+    the row's instance, that instance's column) to (P(predict 1), whether the
+    row's version space -- the experts with no mistake -- is non-empty), two
+    (R,) arrays. Engine rows predict by the version-space rule, the rest by
+    wm; wm has no engine, so none of its rows is in a space. A baseline
+    raises WrongPhase on any row whose space is empty.
+
+    Mistake counts are integers and a row's gap above its own minimum is at
+    most T, so the wm weights exp(-eta * (m - min m)) are read from the table
+    decay[k] = exp(-eta * k), k = 0 .. T, built once here; P(1) is the
+    weight on 1 over the total weight, capped at 1.
+    """
+    kind = config.kind
+    engine = None if kind == "wm" else kind.removeprefix("wm_")
+    computer = LdimComputer(cls) if engine == "soa" else None
+    decay = np.exp(-eta_for(cls.d, T, config.eta_variant) * np.arange(T + 1))
+
+    def p_rows(mistakes: np.ndarray, advice: np.ndarray, cols: np.ndarray):
         low = mistakes.min(axis=1, keepdims=True)
-        if engine is not None:
-            in_space = low[:, 0] == 0
-            all_in, any_in = bool(in_space.all()), bool(in_space.any())
+        p = np.empty(len(mistakes))
+        in_space = low[:, 0] == 0 if engine is not None else np.zeros(len(mistakes), dtype=bool)
+        all_in, any_in = bool(in_space.all()), bool(in_space.any())
         if kind in BASELINE_KINDS and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
         if any_in:
             rows = slice(None) if all_in else in_space
-            engine_rounds += in_space
             space = mistakes[rows] == 0
-            p_one[rows, t] = _engine_p_one(
-                engine, config.tie_break, cls, space, advice[rows], cols[rows, t], computer
-            )
+            p[rows] = _engine_p_one(engine, config.tie_break, cls, space, advice[rows], cols[rows], computer)
         if not all_in:
             rows = ~in_space if any_in else slice(None)
             w = decay.take(mistakes[rows] - low[rows])
-            p_one[rows, t] = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
-        mistakes += advice != truth[:, t, None]
-    return p_one, engine_rounds
+            p[rows] = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
+        return p, in_space
+
+    return p_rows
 
 
 def _engine_p_one(

@@ -19,6 +19,9 @@ from .errors import FactorialCapExceeded
 from .hypotheses import FiniteHypothesisClass, Sequence
 
 EXHAUSTIVE_T_CAP = 9
+# orderings held at once: one block of an exhaustive stream, one batch of
+# `learners.run_batch`; bounds memory at T = 9 (9! orderings)
+BATCH_ORDERINGS = 1024
 
 REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
@@ -95,16 +98,46 @@ class PermutationStream:
         return math.factorial(self.base.T) if self.exhaustive else self.count
 
     def orders(self) -> Iterator[tuple[int, ...]]:
-        """Yield position orderings (indices into the base sequence)."""
-        T = self.base.T
+        """Yield position orderings (indices into the base sequence).
+
+        An exhaustive stream yields the rows of `blocks()`, so both read one order.
+        """
         if self.exhaustive:
-            if T > EXHAUSTIVE_T_CAP:
-                raise FactorialCapExceeded(
-                    f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}"
-                )
-            yield from itertools.permutations(range(T))
+            for block in self.blocks():
+                yield from map(tuple, block.tolist())
         else:
             rng = np.random.default_rng(self.seed)
             for _ in range(self.count):
-                yield tuple(rng.permutation(T).tolist())
+                yield tuple(rng.permutation(self.base.T).tolist())
 
+    def blocks(self, max_rows: int = BATCH_ORDERINGS) -> Iterator[np.ndarray]:
+        """An exhaustive stream's orderings as (rows, T) position arrays, at most max_rows rows each.
+
+        The rows run in `itertools.permutations(range(T))` order: one block per
+        (T - L)-prefix, in lexicographic order, holding that prefix followed by
+        every ordering of the remaining positions, read from one lexicographic
+        table of the L! orderings of range(L), the largest L <= T with
+        L! <= max_rows. T above EXHAUSTIVE_T_CAP is refused here, when called,
+        before anything is built.
+        """
+        if not self.exhaustive:
+            raise ValueError("only exhaustive streams come in blocks")
+        T = self.base.T
+        if T > EXHAUSTIVE_T_CAP:
+            raise FactorialCapExceeded(
+                f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}"
+            )
+        L = 0
+        while L < T and math.factorial(L + 1) <= max_rows:
+            L += 1
+        return _permutation_blocks(T, L)
+
+
+def _permutation_blocks(T: int, L: int) -> Iterator[np.ndarray]:
+    """Every ordering of range(T), lexicographically, in blocks of L! sharing a prefix."""
+    tails = np.array(list(itertools.permutations(range(L))), dtype=np.intp).reshape(math.factorial(L), L)
+    for prefix in itertools.permutations(range(T), T - L):
+        block = np.empty((len(tails), T), dtype=np.intp)
+        block[:, : T - L] = prefix
+        block[:, T - L :] = np.delete(np.arange(T), prefix)[tails]
+        yield block

@@ -17,10 +17,14 @@ the two restriction sides (one scan memo per run), and weighted majority
 with `math.exp` weights over a list of mistake counts. It shares no Ldim,
 SOA or kernel code with `run` and `run_batch`; `per_ordering_values` runs it
 once per ordering to cross-check `run_batch`.
+
+The exhaustive-stream oracle, `exhaustive_reference`, is the enumeration the
+prediction table of `run_exhaustive` replaced: `run_batch` over
+`itertools.permutations`, aggregated as `evaluate` reports it.
 """
 
 import math
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -34,6 +38,7 @@ from regretlab import (
     WrongPhase,
     eta_for,
     restrict,
+    run_batch,
 )
 from regretlab.learners import BASELINE_KINDS, HYBRID_KINDS, RoundRecord
 
@@ -244,3 +249,18 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
             realized.append(int(trace.trial_mistakes.max()))
         randomized = randomized or trace.randomized_rounds > 0
     return expected, realized, randomized
+
+
+def exhaustive_reference(config, cls: FiniteHypothesisClass, base: Sequence, mode=ANALYTIC):
+    """(mean expected mistakes, max expected mistakes, max sampled mistakes) over every ordering.
+
+    Runs `run_batch` on all T! orderings of `base` in `itertools.permutations`
+    order. The sampled maximum is the realized one in sampled mode, else the
+    analytic maximum for a deterministic learner and None for a randomized one.
+    """
+    expected, realized, randomized = run_batch(config, cls, base, permutations(range(base.T)), mode)
+    if realized.size:
+        sampled = float(realized.max())
+    else:
+        sampled = None if randomized else float(expected.max())
+    return float(expected.mean()), float(expected.max()), sampled

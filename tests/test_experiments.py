@@ -1,17 +1,23 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretlab import experiments
 from regretlab import (
+    ANALYTIC,
     ExperimentCase,
+    FactorialCapExceeded,
     LdimComputer,
     LearnerConfig,
     PermutationStream,
     Sampled,
     UnsupportedFormat,
+    WrongPhase,
     check_bounds,
     emit_report,
     evaluate,
@@ -20,6 +26,11 @@ from regretlab import (
     run,
     with_bounds,
 )
+from regretlab.learners import ETA_VARIANTS, LEARNER_KINDS, TIE_BREAKS
+from regretlab.sequences import EXHAUSTIVE_T_CAP
+
+from . import oracles
+from .conftest import make_class, seq_of
 
 
 def small_stream(kind="realizable", T=8, d=4, **stream_kwargs):
@@ -119,7 +130,8 @@ def test_evaluate_is_deterministic():
 
 
 def test_jobs_do_not_change_results():
-    case, cls, stream = small_stream(T=6, d=3)
+    # the worker pool serves sampled streams only
+    case, cls, stream = small_stream(T=6, d=3, exhaustive=False, count=40, seed=5)
     serial = evaluate(LearnerConfig("wm"), case, stream, jobs=1)
     parallel = evaluate(LearnerConfig("wm"), case, stream, jobs=2)
     assert serial.expected_mistakes == parallel.expected_mistakes
@@ -144,12 +156,77 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    case, cls, stream = small_stream(T=5, d=3)
+    case, cls, exhaustive = small_stream(T=5, d=3)
+    evaluate(LearnerConfig("wm_halving"), case, exhaustive, mode=Sampled(4, 2), jobs=1000)
+    assert recorded == []  # exhaustive streams start no pool
+    stream = PermutationStream(exhaustive.base, exhaustive=False, count=20, seed=6)
     capped = evaluate(LearnerConfig("wm_halving"), case, stream, mode=Sampled(4, 2), jobs=1000)
     assert recorded == [3]
     serial = evaluate(LearnerConfig("wm_halving"), case, stream, mode=Sampled(4, 2), jobs=1)
     assert recorded == [3]
     assert capped == serial
+
+
+def test_oversize_exhaustive_stream_refused_before_allocation():
+    case, cls, stream = small_stream(T=EXHAUSTIVE_T_CAP + 1, d=4)
+    for kind in ("wm", "wm_soa"):
+        for mode in (ANALYTIC, Sampled(1, 2)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FactorialCapExceeded):
+                    evaluate(LearnerConfig(kind), case, stream, mode=mode, jobs=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+
+@st.composite
+def repetitive_class_and_sequence(draw):
+    """A random class whose domain repeats columns, and a sequence (T <= 6) over few points.
+
+    Labels come from one member (realizable) or at random, so examples repeat
+    and the same advice column meets both labels.
+    """
+    d = draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=1, max_size=3))
+    n = draw(st.integers(len(distinct), 5))
+    picks = list(range(len(distinct))) + draw(
+        st.lists(st.integers(0, len(distinct) - 1), min_size=n - len(distinct), max_size=n - len(distinct))
+    )
+    cls = make_class(np.array(distinct).T[:, picks])
+    xs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        target = draw(st.integers(0, d - 1))
+        ys = [int(cls.table[target, x]) for x in xs]
+    else:
+        ys = draw(st.lists(st.integers(0, 1), min_size=len(xs), max_size=len(xs)))
+    return cls, seq_of(zip(xs, ys))
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(
+    inputs=repetitive_class_and_sequence(),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    eta_variant=st.sampled_from(ETA_VARIANTS),
+    mode=st.one_of(
+        st.just(ANALYTIC),
+        st.builds(Sampled, seed=st.integers(0, 99), trials=st.integers(1, 3)),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_variant, mode):
+    # exactly what evaluate reports of an exhaustive stream, against run_batch over all T! orderings
+    cls, base = inputs
+    config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    stream = PermutationStream(base)
+    try:
+        want = oracles.exhaustive_reference(config, cls, base, mode)
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            experiments._stream_summary(config, cls, stream, mode)
+        return
+    assert experiments._stream_summary(config, cls, stream, mode) == want
 
 
 def test_sampled_permutations_reproducible():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -15,6 +16,7 @@ from regretlab import (
     make_threshold_class,
     mistake_profile,
 )
+from regretlab.sequences import BATCH_ORDERINGS, EXHAUSTIVE_T_CAP
 
 TABLE_ROWS_8 = [
     (-3, 0),
@@ -145,11 +147,38 @@ def test_single_point_stream():
     assert [tuple(seq.examples[i] for i in order) for order in orders] == [seq.examples]
 
 
+@pytest.mark.parametrize("T", range(1, EXHAUSTIVE_T_CAP + 1))
+def test_exhaustive_blocks_follow_itertools_order(T):
+    stream = PermutationStream(label_sequence(ExperimentCase("realizable", T, 1), make_domain(T)))
+    want = itertools.permutations(range(T))
+    for block in stream.blocks():
+        assert 1 <= len(block) <= BATCH_ORDERINGS
+        assert block.tolist() == [list(order) for order in itertools.islice(want, len(block))]
+    assert next(want, None) is None
+
+
+@pytest.mark.parametrize("max_rows", [1, 5, 7, 120])
+def test_orders_are_the_rows_of_the_blocks(max_rows):
+    stream = PermutationStream(label_sequence(ExperimentCase("realizable", 5, 1), make_domain(5)))
+    blocks = list(stream.blocks(max_rows))
+    assert max(len(block) for block in blocks) <= max_rows
+    rows = [tuple(row) for block in blocks for row in block.tolist()]
+    assert rows == list(stream.orders()) == list(itertools.permutations(range(5)))
+
+
+def test_blocks_refuse_sampled_streams():
+    seq = label_sequence(ExperimentCase("realizable", 4, 2), make_domain(4))
+    with pytest.raises(ValueError):
+        PermutationStream(seq, exhaustive=False, count=3).blocks()
+
+
 def test_factorial_cap():
     seq = label_sequence(ExperimentCase("realizable", 10, 4), make_domain(10))
     stream = PermutationStream(seq)
     with pytest.raises(FactorialCapExceeded):
         next(stream.orders())
+    with pytest.raises(FactorialCapExceeded):
+        stream.blocks()  # when called, not when first read
 
 
 def test_sampled_stream_reproducible():
