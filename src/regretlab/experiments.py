@@ -132,7 +132,11 @@ def _stream_summary(
             chunks = [run_batch(config, cls, stream.base, stream.orders(), mode)]
         else:
             bounds_ = np.linspace(0, total, jobs + 1, dtype=int)
-            args = [(config, cls, stream, mode, int(a), int(b)) for a, b in zip(bounds_[:-1], bounds_[1:])]
+            args = [
+                (config, cls, stream, mode, int(a), int(b))
+                for a, b in zip(bounds_[:-1], bounds_[1:])
+                if b > a
+            ]
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 chunks = list(pool.map(_chunk_values, args))
         expected = np.concatenate([c[0] for c in chunks])

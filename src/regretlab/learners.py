@@ -315,7 +315,7 @@ def run_exhaustive(
     ordering, so WrongPhase and the randomized flag read the whole table, and
     the per-ordering totals are summed as `run_batch` sums them.
     """
-    blocks = stream.blocks(BATCH_ORDERINGS)  # refuses T above the cap before any allocation
+    blocks = stream.blocks()  # refuses T above the cap before any allocation
     examples = stream.base.examples
     T = len(examples)
     cols, truth = _rounds(cls, examples)

@@ -110,15 +110,15 @@ class PermutationStream:
             for _ in range(self.count):
                 yield tuple(rng.permutation(self.base.T).tolist())
 
-    def blocks(self, max_rows: int = BATCH_ORDERINGS) -> Iterator[np.ndarray]:
-        """An exhaustive stream's orderings as (rows, T) position arrays, at most max_rows rows each.
+    def blocks(self) -> Iterator[np.ndarray]:
+        """An exhaustive stream's orderings as (rows, T) position arrays, at most BATCH_ORDERINGS rows each.
 
         The rows run in `itertools.permutations(range(T))` order: one block per
         (T - L)-prefix, in lexicographic order, holding that prefix followed by
         every ordering of the remaining positions, read from one lexicographic
         table of the L! orderings of range(L), the largest L <= T with
-        L! <= max_rows. T above EXHAUSTIVE_T_CAP is refused here, when called,
-        before anything is built.
+        L! <= BATCH_ORDERINGS. T above EXHAUSTIVE_T_CAP is refused here, when
+        called, before anything is built.
         """
         if not self.exhaustive:
             raise ValueError("only exhaustive streams come in blocks")
@@ -128,7 +128,7 @@ class PermutationStream:
                 f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}"
             )
         L = 0
-        while L < T and math.factorial(L + 1) <= max_rows:
+        while L < T and math.factorial(L + 1) <= BATCH_ORDERINGS:
             L += 1
         return _permutation_blocks(T, L)
 

@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretlab import experiments
+from regretlab import experiments, sequences
 from regretlab import (
     ANALYTIC,
     ExperimentCase,
@@ -213,9 +214,10 @@ def repetitive_class_and_sequence(draw):
         st.just(ANALYTIC),
         st.builds(Sampled, seed=st.integers(0, 99), trials=st.integers(1, 3)),
     ),
+    block_rows=st.sampled_from((2, 7, sequences.BATCH_ORDERINGS)),
 )
 @settings(max_examples=60, deadline=None)
-def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_variant, mode):
+def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_variant, mode, block_rows):
     # exactly what evaluate reports of an exhaustive stream, against run_batch over all T! orderings
     cls, base = inputs
     config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
@@ -226,6 +228,17 @@ def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_var
         with pytest.raises(WrongPhase):
             experiments._stream_summary(config, cls, stream, mode)
         return
+    with mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows):  # orderings cross blocks
+        assert experiments._stream_summary(config, cls, stream, mode) == want
+
+
+def test_exhaustive_sampled_draws_follow_the_stream_index_across_blocks():
+    # T=7 spans 7 blocks; ordering k draws from seed + (k,) whichever block holds it
+    case, cls, stream = small_stream(T=7, d=4)
+    config = LearnerConfig("wm_halving", tie_break="random")
+    mode = Sampled((3, 1), trials=2)
+    assert len(list(stream.blocks())) == 7
+    want = oracles.exhaustive_reference(config, cls, stream.base, mode)
     assert experiments._stream_summary(config, cls, stream, mode) == want
 
 

@@ -16,6 +16,7 @@ from regretlab import (
     make_threshold_class,
     mistake_profile,
 )
+from regretlab import sequences
 from regretlab.sequences import BATCH_ORDERINGS, EXHAUSTIVE_T_CAP
 
 TABLE_ROWS_8 = [
@@ -158,9 +159,10 @@ def test_exhaustive_blocks_follow_itertools_order(T):
 
 
 @pytest.mark.parametrize("max_rows", [1, 5, 7, 120])
-def test_orders_are_the_rows_of_the_blocks(max_rows):
+def test_orders_are_the_rows_of_the_blocks(monkeypatch, max_rows):
+    monkeypatch.setattr(sequences, "BATCH_ORDERINGS", max_rows)
     stream = PermutationStream(label_sequence(ExperimentCase("realizable", 5, 1), make_domain(5)))
-    blocks = list(stream.blocks(max_rows))
+    blocks = list(stream.blocks())
     assert max(len(block) for block in blocks) <= max_rows
     rows = [tuple(row) for block in blocks for row in block.tolist()]
     assert rows == list(stream.orders()) == list(itertools.permutations(range(5)))
