@@ -14,7 +14,7 @@ correspond to; pass --eta-variant sqrt8 to compare against the rate the
 regret analysis is tuned for. wm_halving runs with the default ties-to-1
 rule, so its small realizable row reads 0.50 / 1.00 rather than the published
 0.91 / 2, which fair-coin ties reproduce (see README, "Known discrepancy in the
-acceptance suite").
+acceptance suite"). Every case runs in this process.
 """
 
 import argparse
@@ -49,12 +49,6 @@ def main() -> int:
     parser.add_argument("--out", default="reports", help="output directory")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--eta-variant", choices=ETA_VARIANTS, default="sqrt2")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the sampled (large) cases; the exhaustive cases run in one process",
-    )
     args = parser.parse_args()
 
     out_dir = Path(args.out)
@@ -71,7 +65,7 @@ def main() -> int:
         for kind in LEARNERS:
             config = LearnerConfig(kind, eta_variant=args.eta_variant)
             t0 = time.perf_counter()
-            reports[kind] = with_bounds(evaluate(config, case, stream, jobs=args.jobs), cls)
+            reports[kind] = with_bounds(evaluate(config, case, stream), cls)
             seconds[kind] = time.perf_counter() - t0
 
         for suffix, hybrid in PAIRS:

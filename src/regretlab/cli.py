@@ -66,7 +66,6 @@ class ExperimentConfig:
     mode: str = "analytic"  # "analytic" or "sampled:N"
     format: str = "csv"
     out: str | None = None
-    jobs: int = 1
     check_bounds: bool = True
 
     def to_json(self) -> str:
@@ -131,7 +130,6 @@ def build_parser() -> _Parser:
     run_p.add_argument("--mode", help="analytic or sampled:N")
     run_p.add_argument("--format", choices=FORMATS)
     run_p.add_argument("--out", help="output path (default: stdout)")
-    run_p.add_argument("--jobs", type=int)
     run_p.add_argument("--check-bounds", action=argparse.BooleanOptionalAction)
     run_p.add_argument(
         "--dump-config",
@@ -212,8 +210,6 @@ def _validate(config: ExperimentConfig) -> tuple[int, int]:
             f"exhaustive permutations need T <= {EXHAUSTIVE_T_CAP}; use --perm sampled:N"
         )
     trials = _parse_count(config.mode, "--mode", "analytic")
-    if config.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     return orderings, trials
 
 
@@ -237,7 +233,7 @@ def _run_command(args: argparse.Namespace) -> int:
         reports = []
         for kind in config.learners:
             learner = LearnerConfig(kind, eta_variant=config.eta_variant)
-            report = evaluate(learner, case, stream, mode=mode, jobs=config.jobs)
+            report = evaluate(learner, case, stream, mode=mode)
             if config.check_bounds:
                 with_bounds(report, cls)
             reports.append(report)

@@ -9,20 +9,14 @@ ordering's rounds from that table, with the same per-ordering values.
 Expectations are means of per-ordering analytic expected mistakes, so
 exhaustive runs are exactly reproducible. Sampled-realized maxima are
 reported alongside the analytic maxima because the two readings of a "max
-mistakes" column differ for randomized learners. With jobs > 1 a sampled
-stream is split into contiguous index ranges, one per worker process; an
-exhaustive stream always runs in this process.
+mistakes" column differ for randomized learners. Every stream runs in
+this process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-
-import numpy as np
 
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
@@ -86,17 +80,12 @@ def evaluate(
     case: ExperimentCase,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
-    jobs: int = 1,
 ) -> PermutationReport:
-    """Run the learner from a fresh state on every ordering in the stream and aggregate.
-
-    Exhaustive streams run in this process. Sampled streams use up to `jobs`
-    worker processes, capped at the ordering count and the CPU count.
-    """
+    """Run the learner from a fresh state on every ordering in the stream and aggregate."""
     cls, base = make_case_inputs(case)
     if stream.base.examples != base.examples:
         raise ValueError("stream base sequence does not match the case")
-    mean, max_analytic, max_sampled = _stream_summary(config, cls, stream, mode, jobs)
+    mean, max_analytic, max_sampled = _stream_summary(config, cls, stream, mode)
     best, _ = best_mistakes(mistake_profile(cls, base))
     return PermutationReport(
         learner=config,
@@ -115,7 +104,6 @@ def _stream_summary(
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
-    jobs: int = 1,
 ) -> tuple[float, float, float | None]:
     """(mean, max) of the per-ordering expected mistakes and the sampled maximum over the stream.
 
@@ -126,22 +114,7 @@ def _stream_summary(
     if stream.exhaustive:
         expected, realized, randomized = run_exhaustive(config, cls, stream, mode)
     else:
-        total = len(stream)
-        jobs = max(1, min(jobs, total, os.cpu_count() or 1))
-        if jobs == 1:
-            chunks = [run_batch(config, cls, stream.base, stream.orders(), mode)]
-        else:
-            bounds_ = np.linspace(0, total, jobs + 1, dtype=int)
-            args = [
-                (config, cls, stream, mode, int(a), int(b))
-                for a, b in zip(bounds_[:-1], bounds_[1:])
-                if b > a
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(pool.map(_chunk_values, args))
-        expected = np.concatenate([c[0] for c in chunks])
-        realized = np.concatenate([c[1] for c in chunks])
-        randomized = any(c[2] for c in chunks)
+        expected, realized, randomized = run_batch(config, cls, stream.base, stream.orders(), mode)
 
     max_analytic = float(expected.max())
     if realized.size:
@@ -149,12 +122,6 @@ def _stream_summary(
     else:
         max_sampled = None if randomized else max_analytic
     return float(expected.mean()), max_analytic, max_sampled
-
-
-def _chunk_values(args) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Worker: `run_batch` over orderings start..stop of a sampled stream."""
-    config, cls, stream, mode, start, stop = args
-    return run_batch(config, cls, stream.base, islice(stream.orders(), start, stop), mode, start)
 
 
 # Version-space mistake bound of each engine: (label, value for the class). It is the

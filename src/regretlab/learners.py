@@ -265,7 +265,6 @@ def run_batch(
     base: Sequence,
     orders: Iterable[Iterable[int]],
     mode: Analytic | Sampled = ANALYTIC,
-    first_index: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-ordering totals of the learner over reorderings of `base`.
 
@@ -273,10 +272,9 @@ def run_batch(
     what `run` gives on the reordered sequence: returns (expected mistakes per
     ordering, realized maximum over trials per ordering -- empty in analytic
     mode --, whether any prediction was randomized). The iterable is consumed
-    once, in batches of at most BATCH_ORDERINGS. Ordering k of it has stream
-    index first_index + k, and in sampled mode draws from the seed
-    mode.seed + (first_index + k,). The SOA rule depends only on the version
-    space, so every ordering reads the class's one Ldim memo.
+    once, in batches of at most BATCH_ORDERINGS. Ordering k of it draws, in
+    sampled mode, from the seed mode.seed + (k,). The SOA rule depends only
+    on the version space, so every ordering reads the class's one Ldim memo.
     """
     examples = tuple(base)
     T = len(examples)
@@ -294,7 +292,7 @@ def run_batch(
             randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
             yield p_one, ys
 
-    expected, realized = _totals(batches(), mode, first_index)
+    expected, realized = _totals(batches(), mode)
     return expected, realized, randomized
 
 
@@ -343,17 +341,17 @@ def run_exhaustive(
             steps = stride[kinds]
             yield table[np.cumsum(steps, axis=1) - steps, kinds], truth[positions]
 
-    expected, realized = _totals(batches(), mode, 0)
+    expected, realized = _totals(batches(), mode)
     return expected, realized, randomized
 
 
-def _totals(batches, mode: Analytic | Sampled, first_index: int) -> tuple[np.ndarray, np.ndarray]:
+def _totals(batches, mode: Analytic | Sampled) -> tuple[np.ndarray, np.ndarray]:
     """(expected mistakes, realized maximum -- empty in analytic mode) per ordering of (p_one, ys) batches.
 
-    Ordering k overall is drawn, in sampled mode, from mode.seed + (first_index + k,).
+    Ordering k overall is drawn, in sampled mode, from mode.seed + (k,).
     """
     expected, realized = [], []
-    index = first_index
+    index = 0
     for p_one, ys in batches:
         if isinstance(mode, Sampled):
             seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)

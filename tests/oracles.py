@@ -230,11 +230,11 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
     )
 
 
-def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orders, mode, first_index=0):
+def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orders, mode):
     """(expected mistakes, realized max) per ordering, and whether any round was randomized.
 
     Ordering k is `base` reordered by orders[k]; in sampled mode its draws are
-    seeded with mode.seed + (first_index + k,), the harness seeding rule.
+    seeded with mode.seed + (k,), the harness seeding rule.
     """
     expected, realized, randomized = [], [], False
     for k, order in enumerate(orders):
@@ -242,7 +242,7 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
         perm_mode = mode
         if isinstance(mode, Sampled):
             seed = tuple(mode.seed) if isinstance(mode.seed, tuple) else (mode.seed,)
-            perm_mode = Sampled(seed + (first_index + k,), mode.trials)
+            perm_mode = Sampled(seed + (k,), mode.trials)
         trace = reference_run(config, cls, seq, perm_mode)
         expected.append(trace.expected_mistakes)
         if trace.trial_mistakes is not None:

@@ -49,7 +49,7 @@ def test_run_reference_pair_end_to_end(capsys):
         [
             "--case", "realizable", "--T", "8", "--d", "4",
             "--learners", "wm,wm_halving", "--perm", "exhaustive",
-            "--eta-variant", "sqrt2", "--jobs", "2",
+            "--eta-variant", "sqrt2",
         ],
         capsys,
     )
@@ -248,7 +248,7 @@ def test_dump_config_round_trip(capsys, monkeypatch, tmp_path):
     argv = [
         "--case", "unrealizable", "--T", "10", "--d", "4",
         "--learners", "wm,wm_soa", "--perm", "sampled:50", "--seed", "13",
-        "--eta-variant", "sqrt2", "--format", "json", "--jobs", "2",
+        "--eta-variant", "sqrt2", "--format", "json",
         "--dump-config",
     ]
     code, out, _ = run_argv(argv, capsys)
@@ -264,7 +264,6 @@ def test_dump_config_round_trip(capsys, monkeypatch, tmp_path):
         mode="analytic",
         format="json",
         out=None,
-        jobs=2,
         check_bounds=True,
     ).to_json()
     config_path = tmp_path / "dumped.json"
@@ -322,7 +321,7 @@ VALID_FILE = {"T": 5, "d": 2, "learners": ["wm"]}
         (dict(VALID_FILE, check_bounds="no"), "--check-bounds"),
         (dict(VALID_FILE, seed="x"), "argument --seed"),
         (dict(VALID_FILE, T="five"), "argument --T: invalid int value"),
-        (dict(VALID_FILE, jobs=[2]), "argument --jobs: invalid int value"),
+        (dict(VALID_FILE, jobs=[2]), "unknown config keys: ['jobs']"),
         ({"T": "5"}, "got d=0, T=5"),
         (dict(VALID_FILE, config="other.json"), "unknown config keys"),
     ],
@@ -345,10 +344,10 @@ def test_hostile_config_file_fails_with_one_line(capsys, tmp_path, doc, message)
     [
         (dict(VALID_FILE, T="5"), ["--T", "5"]),
         (dict(VALID_FILE, learners="wm"), ["--learners", "wm"]),
-        (dict(VALID_FILE, jobs="2"), ["--jobs", "2"]),
+        (dict(VALID_FILE, seed="3"), ["--seed", "3"]),
         (dict(VALID_FILE, check_bounds=False, seed=None), ["--no-check-bounds"]),
     ],
-    ids=["T-str", "learners-str", "jobs-str", "check-bounds-false"],
+    ids=["T-str", "learners-str", "seed-str", "check-bounds-false"],
 )
 def test_config_value_reads_as_its_flag(capsys, monkeypatch, tmp_path, doc, flags):
     monkeypatch.delenv("REGRETLAB_SEED", raising=False)
@@ -427,6 +426,17 @@ def test_config_file_unknown_key(capsys, tmp_path):
     code, _, err = run_argv(["--config", str(config_path)], capsys)
     assert code == 1
     assert "mystery" in err
+
+
+def test_jobs_flag_refused_with_one_line(capsys):
+    # every run is in-process; no flag chooses a worker count
+    argv = ["run", "--T", "4", "--d", "2", "--learners", "wm", "--jobs", "2"]
+    code, out, err = run_argv(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "--jobs" in err
 
 
 def test_gen_stdout_matches_reference_sequences(capsys):
@@ -517,3 +527,26 @@ def test_cli_module_runs_like_package():
     assert procs[0].stdout.startswith("learner,T,")
     assert procs[1].stdout == procs[0].stdout
     assert procs[1].stderr == procs[0].stderr
+
+
+def test_sampled_run_imports_no_process_pool(tmp_path):
+    # a fresh interpreter, so that no module another test imported is counted
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "REGRETLAB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        "run", "--T", "40", "--d", "20", "--learners", "wm,wm_halving",
+        "--perm", "sampled:30", "--mode", "sampled:5", "--out", str(tmp_path / "r.csv"),
+    ]  # fmt: skip
+    script = (
+        "import sys\n"
+        "from regretlab import cli\n"
+        f"code = cli.run_cli({argv!r})\n"
+        "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    assert (tmp_path / "r.csv").read_text().startswith("learner,T,")

@@ -130,44 +130,6 @@ def test_evaluate_is_deterministic():
     assert a.max_mistakes == b.max_mistakes
 
 
-def test_jobs_do_not_change_results():
-    # the worker pool serves sampled streams only
-    case, cls, stream = small_stream(T=6, d=3, exhaustive=False, count=40, seed=5)
-    serial = evaluate(LearnerConfig("wm"), case, stream, jobs=1)
-    parallel = evaluate(LearnerConfig("wm"), case, stream, jobs=2)
-    assert serial.expected_mistakes == parallel.expected_mistakes
-    assert serial.max_mistakes == parallel.max_mistakes
-
-
-def test_jobs_capped_at_cpu_count(monkeypatch):
-    recorded = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    case, cls, exhaustive = small_stream(T=5, d=3)
-    evaluate(LearnerConfig("wm_halving"), case, exhaustive, mode=Sampled(4, 2), jobs=1000)
-    assert recorded == []  # exhaustive streams start no pool
-    stream = PermutationStream(exhaustive.base, exhaustive=False, count=20, seed=6)
-    capped = evaluate(LearnerConfig("wm_halving"), case, stream, mode=Sampled(4, 2), jobs=1000)
-    assert recorded == [3]
-    serial = evaluate(LearnerConfig("wm_halving"), case, stream, mode=Sampled(4, 2), jobs=1)
-    assert recorded == [3]
-    assert capped == serial
-
-
 def test_oversize_exhaustive_stream_refused_before_allocation():
     case, cls, stream = small_stream(T=EXHAUSTIVE_T_CAP + 1, d=4)
     for kind in ("wm", "wm_soa"):
@@ -175,7 +137,7 @@ def test_oversize_exhaustive_stream_refused_before_allocation():
             tracemalloc.start()
             try:
                 with pytest.raises(FactorialCapExceeded):
-                    evaluate(LearnerConfig(kind), case, stream, mode=mode, jobs=2)
+                    evaluate(LearnerConfig(kind), case, stream, mode=mode)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

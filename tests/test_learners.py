@@ -387,16 +387,16 @@ modes = st.one_of(
 )
 
 
-def assert_kernel_matches_reference(config, cls, base, orders, mode, first_index):
+def assert_kernel_matches_reference(config, cls, base, orders, mode):
     try:
         want_expected, want_realized, want_randomized = oracles.per_ordering_values(
-            config, cls, base, orders, mode, first_index
+            config, cls, base, orders, mode
         )
     except WrongPhase:
         with pytest.raises(WrongPhase):
-            run_batch(config, cls, base, orders, mode, first_index)
+            run_batch(config, cls, base, orders, mode)
         return
-    expected, realized, randomized = run_batch(config, cls, base, orders, mode, first_index)
+    expected, realized, randomized = run_batch(config, cls, base, orders, mode)
     assert np.abs(expected - np.array(want_expected)).max() <= 1e-12
     assert realized.tolist() == want_realized
     assert randomized == want_randomized
@@ -408,13 +408,12 @@ def assert_kernel_matches_reference(config, cls, base, orders, mode, first_index
     tie_break=st.sampled_from(TIE_BREAKS),
     eta_variant=st.sampled_from(("sqrt8", "sqrt2")),
     mode=modes,
-    first_index=st.integers(0, 50),
 )
 @settings(max_examples=40, deadline=None)
-def test_batch_kernel_matches_per_ordering_run(kind, inputs, tie_break, eta_variant, mode, first_index):
+def test_batch_kernel_matches_per_ordering_run(kind, inputs, tie_break, eta_variant, mode):
     cls, base, orders = inputs
     config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
-    assert_kernel_matches_reference(config, cls, base, orders, mode, first_index)
+    assert_kernel_matches_reference(config, cls, base, orders, mode)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -472,7 +471,7 @@ def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_o
     for base in (realizable8, all_ones8):
         for mode in (ANALYTIC, Sampled((5, 1), trials=3)):
             config = LearnerConfig(kind, tie_break="random")
-            assert_kernel_matches_reference(config, threshold8, base, orders, mode, 4)
+            assert_kernel_matches_reference(config, threshold8, base, orders, mode)
 
 
 LAST_ROUND_EMPTIES = [(1, 1), (-3, 0), (0, 1)]
@@ -494,7 +493,7 @@ def test_batch_of_a_space_that_empties_on_the_final_round(threshold8, kind):
     for mode in (ANALYTIC, Sampled((2, 1), trials=3)):
         for tie_break in TIE_BREAKS:
             config = LearnerConfig(kind, tie_break=tie_break)
-            assert_kernel_matches_reference(config, threshold8, seq_of(LAST_ROUND_EMPTIES), orders, mode, 0)
+            assert_kernel_matches_reference(config, threshold8, seq_of(LAST_ROUND_EMPTIES), orders, mode)
 
 
 def test_batch_kernel_validates_inputs_before_any_round(threshold8):
@@ -540,7 +539,7 @@ def test_batch_after_every_space_empties_matches_reference(kind):
     # every space empties, and many rounds follow the last one to empty
     assert mistake_profile(cls, base).min() > 0 and engine_rounds.max() < base.T - 10
     for mode in (ANALYTIC, Sampled(4, trials=3)):
-        assert_kernel_matches_reference(config, cls, base, orders, mode, 0)
+        assert_kernel_matches_reference(config, cls, base, orders, mode)
 
 
 @pytest.mark.parametrize("T", [50, 400])
