@@ -5,7 +5,8 @@ Runs the wm, wm_halving and wm_soa learners over:
   * exhaustive permutations of the T=8, d=4 case (realizable and unrealizable)
   * 100 sampled permutations of the T=1000, d=500 case (both kinds)
 
-wm is evaluated once per case and compared with each hybrid in turn. Writes
+The three learners of a case come from one `evaluate_many` call, one pass
+over its stream, and wm is compared with each hybrid in turn. Writes
 one CSV per case and comparison, NAME.csv for (wm, wm_halving) and
 NAME_wm_soa.csv for (wm, wm_soa), plus a combined markdown summary with one
 two-learner table, Diff column included, per CSV. The sqrt2 learning rate is
@@ -27,7 +28,7 @@ from regretlab import (
     LearnerConfig,
     PermutationStream,
     emit_report,
-    evaluate,
+    evaluate_many,
     make_case_inputs,
     with_bounds,
 )
@@ -61,24 +62,21 @@ def main() -> int:
         stream = PermutationStream(
             base, exhaustive=exhaustive, count=count, seed=(args.seed, 0)
         )
-        reports, seconds = {}, {}
-        for kind in LEARNERS:
-            config = LearnerConfig(kind, eta_variant=args.eta_variant)
-            t0 = time.perf_counter()
-            reports[kind] = with_bounds(evaluate(config, case, stream), cls)
-            seconds[kind] = time.perf_counter() - t0
+        configs = [LearnerConfig(kind, eta_variant=args.eta_variant) for kind in LEARNERS]
+        t0 = time.perf_counter()
+        reports = dict(zip(LEARNERS, (with_bounds(r, cls) for r in evaluate_many(configs, case, stream))))
+        seconds = time.perf_counter() - t0
 
         for suffix, hybrid in PAIRS:
             label = name + suffix
             pair = [reports["wm"], reports[hybrid]]
-            elapsed = seconds["wm"] + seconds[hybrid]
             csv_path = out_dir / f"{label}.csv"
             csv_path.write_text(emit_report(pair, "csv"))
-            markdown_parts.append(f"## {label} ({len(stream)} permutations, {elapsed:.1f}s)\n")
+            markdown_parts.append(f"## {label} ({len(stream)} permutations, case {seconds:.1f}s)\n")
             markdown_parts.append(emit_report(pair, "markdown"))
             bound_ok = all(v.passed for r in pair for v in r.bounds)
             all_pass = all_pass and bound_ok
-            print(f"{label}: wrote {csv_path} ({elapsed:.1f}s, bounds {'ok' if bound_ok else 'FAILED'})")
+            print(f"{label}: wrote {csv_path} (case {seconds:.1f}s, bounds {'ok' if bound_ok else 'FAILED'})")
 
     summary = out_dir / "summary.md"
     summary.write_text("\n".join(markdown_parts))

@@ -21,6 +21,7 @@ from .experiments import (
     check_bounds,
     emit_report,
     evaluate,
+    evaluate_many,
     with_bounds,
 )
 from .hypotheses import (
@@ -80,6 +81,7 @@ __all__ = [
     "emit_report",
     "eta_for",
     "evaluate",
+    "evaluate_many",
     "label_sequence",
     "ldim",
     "ldim_witness_check",

@@ -28,7 +28,9 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 
 from .errors import RegretlabError
-from .experiments import emit_report, evaluate, with_bounds
+from .experiments import emit_report, evaluate_many, with_bounds
+# Not called here: kept as the attribute perfbench/spans.py wraps as `cli.evaluate`.
+from .experiments import evaluate  # noqa: F401
 from .learners import (
     ANALYTIC,
     BASELINE_KINDS,
@@ -230,13 +232,11 @@ def _run_command(args: argparse.Namespace) -> int:
         )
         mode = Sampled((config.seed, 1), trials) if trials else ANALYTIC
 
-        reports = []
-        for kind in config.learners:
-            learner = LearnerConfig(kind, eta_variant=config.eta_variant)
-            report = evaluate(learner, case, stream, mode=mode)
-            if config.check_bounds:
+        learners = [LearnerConfig(kind, eta_variant=config.eta_variant) for kind in config.learners]
+        reports = evaluate_many(learners, case, stream, mode=mode)
+        if config.check_bounds:
+            for report in reports:
                 with_bounds(report, cls)
-            reports.append(report)
         fh.write(emit_report(reports, config.format))
 
     if config.check_bounds and any(not v.passed for r in reports for v in r.bounds):

@@ -1,22 +1,27 @@
 """Permutation harness: drive learners over reorderings, aggregate, check bounds.
 
-The orderings of a sampled stream run as batches through
-`learners.run_batch`, which advances every ordering of a batch together,
-round by round, from a fresh learner state; there is no learner object per
-ordering. An exhaustive stream runs through `learners.run_exhaustive`, which
-predicts once per (prefix type counts, next example type) and reads every
-ordering's rounds from that table, with the same per-ordering values.
-Expectations are means of per-ordering analytic expected mistakes, so
-exhaustive runs are exactly reproducible. Sampled-realized maxima are
-reported alongside the analytic maxima because the two readings of a "max
-mistakes" column differ for randomized learners. Every stream runs in
-this process.
+`evaluate_many` gives one report per learner from one pass over the stream
+for all of them: the class is built once, and every learner shares each
+ordering's mistake counts, version space and switch round, its wm rows and,
+in sampled mode, its draws. `evaluate` is its one-learner case. The
+orderings of a sampled stream run as batches through
+`learners.run_batch_many`, which advances every ordering of a batch
+together, round by round, from a fresh learner state; there is no learner
+object per ordering. An exhaustive stream runs through
+`learners.run_exhaustive_many`, which predicts once per (prefix type counts,
+next example type) and reads every ordering's rounds from that table, with
+the same per-ordering values. Expectations are means of per-ordering
+analytic expected mistakes, so exhaustive runs are exactly reproducible.
+Sampled-realized maxima are reported alongside the analytic maxima because
+the two readings of a "max mistakes" column differ for randomized learners.
+Every stream runs in this process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
@@ -26,10 +31,10 @@ from .learners import (
     Analytic,
     LearnerConfig,
     Sampled,
-    run_batch,
-    run_exhaustive,
+    run_batch_many,
+    run_exhaustive_many,
 )
-# Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch.
+# Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch_many.
 from .learners import run  # noqa: F401
 from .ldim import ldim
 from .sequences import (
@@ -81,47 +86,79 @@ def evaluate(
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
 ) -> PermutationReport:
-    """Run the learner from a fresh state on every ordering in the stream and aggregate."""
+    """Run the learner from a fresh state on every ordering in the stream and aggregate.
+
+    The one-learner case of `evaluate_many`.
+    """
+    return evaluate_many((config,), case, stream, mode)[0]
+
+
+def evaluate_many(
+    configs: Iterable[LearnerConfig],
+    case: ExperimentCase,
+    stream: PermutationStream,
+    mode: Analytic | Sampled = ANALYTIC,
+) -> list[PermutationReport]:
+    """`evaluate` of each learner, in order, from one pass over the stream for all of them.
+
+    Each report equals the learner's own `evaluate` report: no prediction
+    changes the experts' mistake counts, so the learners share every
+    ordering's version space and switch round, and ordering k draws from
+    mode.seed + (k,) whoever reads it. A repeated config is computed once and
+    reported again. A baseline raises WrongPhase when its space empties, as
+    it does alone.
+    """
+    configs = tuple(configs)
     cls, base = make_case_inputs(case)
     if stream.base.examples != base.examples:
         raise ValueError("stream base sequence does not match the case")
-    mean, max_analytic, max_sampled = _stream_summary(config, cls, stream, mode)
+    distinct = tuple(dict.fromkeys(configs))
+    summaries = dict(zip(distinct, _stream_summaries(distinct, cls, stream, mode)))
     best, _ = best_mistakes(mistake_profile(cls, base))
-    return PermutationReport(
-        learner=config,
-        case=case,
-        permutation_count=len(stream),
-        best_mistakes=best,
-        expected_mistakes=mean,
-        max_mistakes=max_analytic,
-        expected_regret=mean - best,
-        max_mistakes_sampled=max_sampled,
-    )
+    reports = []
+    for config in configs:
+        mean, max_analytic, max_sampled = summaries[config]
+        reports.append(
+            PermutationReport(
+                learner=config,
+                case=case,
+                permutation_count=len(stream),
+                best_mistakes=best,
+                expected_mistakes=mean,
+                max_mistakes=max_analytic,
+                expected_regret=mean - best,
+                max_mistakes_sampled=max_sampled,
+            )
+        )
+    return reports
 
 
-def _stream_summary(
-    config: LearnerConfig,
+def _stream_summaries(
+    configs: tuple[LearnerConfig, ...],
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
-) -> tuple[float, float, float | None]:
-    """(mean, max) of the per-ordering expected mistakes and the sampled maximum over the stream.
+) -> list[tuple[float, float, float | None]]:
+    """(mean, max) of each distinct learner's per-ordering expected mistakes and its sampled maximum.
 
     The sampled maximum is the realized one in sampled mode; in analytic mode
     it is the analytic maximum for a deterministic learner and None for a
     randomized one.
     """
     if stream.exhaustive:
-        expected, realized, randomized = run_exhaustive(config, cls, stream, mode)
+        expected, realized, randomized = run_exhaustive_many(configs, cls, stream, mode)
     else:
-        expected, realized, randomized = run_batch(config, cls, stream.base, stream.orders(), mode)
+        expected, realized, randomized = run_batch_many(configs, cls, stream.base, stream.orders(), mode)
 
-    max_analytic = float(expected.max())
-    if realized.size:
-        max_sampled: float | None = float(realized.max())
-    else:
-        max_sampled = None if randomized else max_analytic
-    return float(expected.mean()), max_analytic, max_sampled
+    summaries = []
+    for per_ordering, maxima, was_randomized in zip(expected, realized, randomized):
+        max_analytic = float(per_ordering.max())
+        if maxima.size:
+            max_sampled: float | None = float(maxima.max())
+        else:
+            max_sampled = None if was_randomized else max_analytic
+        summaries.append((float(per_ordering.mean()), max_analytic, max_sampled))
+    return summaries
 
 
 # Version-space mistake bound of each engine: (label, value for the class). It is the

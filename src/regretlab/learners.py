@@ -19,13 +19,18 @@ Carlo sampling; sampled mode draws the answers from a seeded generator and
 cross-checks the analytic numbers.
 
 `_batch_p_one` advances many orderings of one sequence together, one round
-at a time. Mistake counts are integers, so its wm weights come from one
-table of exp(-eta * k) over the integer gaps k <= t above each row's fewest
-mistakes, with no exp per round. `run_batch` gives per-ordering totals over
-many orderings; `run` is its one-ordering case and keeps the per-round record.
-`run_exhaustive` gives the same totals over every ordering of an exhaustive
-stream from one table of predictions, one per (prefix type counts, next
-example type). All three predict through one row rule, `_row_rule`.
+at a time, for several learners at once. No prediction changes the experts'
+mistake counts, so every learner has the same version space each round and
+switches in the same round: the counts, the space and each distinct wm rate
+are computed once per round and shared. Mistake counts are integers, so the
+wm weights come from one table of exp(-eta * k) over the integer gaps k <= t
+above each row's fewest mistakes, with no exp per round. `run_batch_many`
+gives per-ordering totals of each learner over many orderings, and in sampled
+mode every learner reads the same draws of each ordering; `run_batch` is its
+one-learner case, and `run` the one-ordering case that keeps the per-round
+record. `run_exhaustive_many` gives the same totals over every ordering of an
+exhaustive stream from one table of predictions, one per (prefix type counts,
+next example type). All of them predict through one row rule, `_row_rule`.
 """
 
 from __future__ import annotations
@@ -122,30 +127,34 @@ def sample_mistakes(
     p_one: np.ndarray,
     truth: np.ndarray,
     keep_trials: bool = True,
-) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """(most mistakes in one pass, mistake frequency per round, mistakes per pass) of sampled passes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(most mistakes in one pass, mistake frequency per round, mistakes per pass) of each learner's sampled passes.
 
-    Round t of each of `trials` passes predicts 1 with probability p_one[t]
-    against the true label truth[t]. Draws are made in blocks of at most
-    SAMPLE_BLOCK_DRAWS numbers (at least one pass); the generator fills
-    sequentially, so the result equals a single (trials, T) draw. With
-    keep_trials=False the per-trial mistakes are not kept (None), and memory
-    does not grow with `trials`.
+    Row l of p_one, (L, T), is learner l's P(predict 1) per round. Round t of
+    each of `trials` passes predicts 1 with probability p_one[l, t] against
+    the true label truth[t]; every learner reads the same draws. Draws are
+    made in blocks of at most SAMPLE_BLOCK_DRAWS numbers (at least one pass);
+    the generator fills sequentially, so the result equals a single
+    (trials, T) draw. The results are (L,), (L, T) and (L, trials) arrays.
+    With keep_trials=False the per-trial mistakes are not kept (None), and
+    memory does not grow with `trials`.
     """
-    T = len(p_one)
+    L, T = p_one.shape
     rng = np.random.default_rng(seed)
     rows = max(1, SAMPLE_BLOCK_DRAWS // max(T, 1))
-    trial_mistakes = np.empty(trials, dtype=np.int64) if keep_trials else None
-    most = 0
-    wrong_per_round = np.zeros(T, dtype=np.int64)
+    trial_mistakes = np.empty((L, trials), dtype=np.int64) if keep_trials else None
+    most = np.zeros(L, dtype=np.int64)
+    wrong_per_round = np.zeros((L, T), dtype=np.int64)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
-        wrong = (rng.random((stop - start, T)) < p_one) != truth
-        per_trial = wrong.sum(axis=1)
-        most = max(most, int(per_trial.max()))
-        if keep_trials:
-            trial_mistakes[start:stop] = per_trial
-        wrong_per_round += wrong.sum(axis=0)
+        draws = rng.random((stop - start, T))
+        for i, p in enumerate(p_one):
+            wrong = (draws < p) != truth
+            per_trial = wrong.sum(axis=1)
+            most[i] = max(most[i], per_trial.max())
+            if keep_trials:
+                trial_mistakes[i, start:stop] = per_trial
+            wrong_per_round[i] += wrong.sum(axis=0)
     return most, wrong_per_round / trials, trial_mistakes
 
 
@@ -211,23 +220,24 @@ def run(
     """
     examples = tuple(seq)
     cols, truth = _rounds(cls, examples)
-    p_ones, engine_rounds = _batch_p_one(config, cls, cols[None], truth[None])
-    p_ones = p_ones[0]
+    p_ones, engine_rounds = _batch_p_one((config,), cls, cols[None], truth[None])
+    p_ones, engine_rounds = p_ones[0, 0], engine_rounds[0, 0]
     # every wm-phase round is randomized; an engine predicts a label, 0 or 1,
     # or the fair coin 0.5 of a random halving tie
-    randomized = (np.arange(len(examples)) >= engine_rounds[0]) | (p_ones == 0.5)
+    randomized = (np.arange(len(examples)) >= engine_rounds) | (p_ones == 0.5)
 
     analytic_probs = np.where(truth, 1.0 - p_ones, p_ones)
     trial_mistakes = None
     if isinstance(mode, Sampled):
-        _, round_probs, trial_mistakes = sample_mistakes(mode.seed, mode.trials, p_ones, truth)
+        _, round_probs, trial_mistakes = sample_mistakes(mode.seed, mode.trials, p_ones[None], truth)
+        round_probs, trial_mistakes = round_probs[0], trial_mistakes[0]
     else:
         round_probs = analytic_probs
 
     switch_round = min_mistakes_at_switch = None
     # the final counts are the mistake profile whatever the order; none is 0 iff the space emptied
     if config.kind in HYBRID_KINDS and mistake_profile(cls, Sequence(examples)).min() > 0:
-        switch_round = int(engine_rounds[0])
+        switch_round = int(engine_rounds)
         prefix = Sequence(examples[:switch_round])
         min_mistakes_at_switch = int(mistake_profile(cls, prefix).min())
 
@@ -272,27 +282,47 @@ def run_batch(
     what `run` gives on the reordered sequence: returns (expected mistakes per
     ordering, realized maximum over trials per ordering -- empty in analytic
     mode --, whether any prediction was randomized). The iterable is consumed
-    once, in batches of at most BATCH_ORDERINGS. Ordering k of it draws, in
-    sampled mode, from the seed mode.seed + (k,). The SOA rule depends only
-    on the version space, so every ordering reads the class's one Ldim memo.
+    once. Ordering k of it draws, in sampled mode, from the seed
+    mode.seed + (k,). The one-learner case of `run_batch_many`.
+    """
+    expected, realized, randomized = run_batch_many((config,), cls, base, orders, mode)
+    return expected[0], realized[0], bool(randomized[0])
+
+
+def run_batch_many(
+    configs: tuple[LearnerConfig, ...],
+    cls: FiniteHypothesisClass,
+    base: Sequence,
+    orders: Iterable[Iterable[int]],
+    mode: Analytic | Sampled = ANALYTIC,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`run_batch` of each of the distinct `configs`, from one pass over the orderings.
+
+    Returns (expected mistakes, realized maxima), each (L, orderings), and
+    whether each learner randomized any prediction, (L,). The orderings go
+    through the round kernel in batches of max(1, BATCH_ORDERINGS // L), so a
+    batch's L (B, T) arrays of P(predict 1) are no larger than one learner's
+    batch of BATCH_ORDERINGS. The SOA rule depends only on the version space,
+    so every ordering reads the class's one Ldim memo.
     """
     examples = tuple(base)
     T = len(examples)
     cols, truth = _rounds(cls, examples)
-    randomized = False
+    size = max(1, BATCH_ORDERINGS // (len(configs) or 1))
+    randomized = np.zeros(len(configs), dtype=bool)
 
     def batches():
         nonlocal randomized
         orders_ = iter(orders)
-        while batch := list(islice(orders_, BATCH_ORDERINGS)):
+        while batch := list(islice(orders_, size)):
             positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
             ys = truth[positions]
-            p_one, engine_rounds = _batch_p_one(config, cls, cols[positions], ys)
+            p_one, engine_rounds = _batch_p_one(configs, cls, cols[positions], ys)
             # any wm-phase round or random halving tie, as `run` flags them per round
-            randomized = randomized or bool((engine_rounds < T).any() or (p_one == 0.5).any())
+            randomized = randomized | (engine_rounds < T).any(axis=1) | (p_one == 0.5).any(axis=(1, 2))
             yield p_one, ys
 
-    expected, realized = _totals(batches(), mode)
+    expected, realized = _totals(batches(), mode, len(configs))
     return expected, realized, randomized
 
 
@@ -302,16 +332,28 @@ def run_exhaustive(
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """What `run_batch` gives over every ordering of an exhaustive stream, in stream order.
+    """What `run_batch` gives over every ordering of an exhaustive stream: `run_exhaustive_many` of one learner."""
+    expected, realized, randomized = run_exhaustive_many((config,), cls, stream, mode)
+    return expected[0], realized[0], bool(randomized[0])
+
+
+def run_exhaustive_many(
+    configs: tuple[LearnerConfig, ...],
+    cls: FiniteHypothesisClass,
+    stream: PermutationStream,
+    mode: Analytic | Sampled = ANALYTIC,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `run_batch_many` gives over every ordering of an exhaustive stream, in stream order.
 
     A learner sees an example only through its type, the pair (advice column,
     label). So its state after a prefix is fixed by how many examples of each
     type the prefix holds: mistakes = counts @ wrong_of_type. The row rule
-    runs once, on every pair (counts c <= n, next type k with c_k < n_k), and
-    each ordering reads its rounds from that table at the mixed-radix ids of
-    its prefix counts. Every such pair is the state and next example of some
-    ordering, so WrongPhase and the randomized flag read the whole table, and
-    the per-ordering totals are summed as `run_batch` sums them.
+    runs once, on every pair (counts c <= n, next type k with c_k < n_k), for
+    all the learners, and each ordering reads its rounds from that table at
+    the mixed-radix ids of its prefix counts. Every such pair is the state
+    and next example of some ordering, so WrongPhase and the randomized flags
+    read the whole table, and the per-ordering totals are summed as
+    `run_batch_many` sums them.
     """
     blocks = stream.blocks()  # refuses T above the cap before any allocation
     examples = stream.base.examples
@@ -330,114 +372,138 @@ def run_exhaustive(
     counts = np.arange(np.prod(n + 1))[:, None] // stride % (n + 1)  # (states, types)
     wrong = advice_of[type_cols] != type_truth[:, None]  # (types, d)
     state, k = np.nonzero(counts < n)
-    p, in_space = _row_rule(config, cls, T)(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
-    randomized = bool((~in_space).any() or (p == 0.5).any())
-    table = np.zeros(counts.shape)
-    table[state, k] = p
+    p_rows, has_engine = _row_rule(configs, cls, T)
+    p, in_space = p_rows(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
+    randomized = (~np.outer(has_engine, in_space)).any(axis=1) | (p == 0.5).any(axis=1)
+    table = np.zeros((len(configs), counts.size))  # learner l's p at (state s, type k): table[l, s * types + k]
+    table[:, state * len(types) + k] = p
 
     def batches():
         for positions in blocks:
             kinds = type_of[positions]
             steps = stride[kinds]
-            yield table[np.cumsum(steps, axis=1) - steps, kinds], truth[positions]
+            # take returns C order, so each ordering's rounds are summed in one contiguous run
+            yield table.take((np.cumsum(steps, axis=1) - steps) * len(types) + kinds, axis=1), truth[positions]
 
-    expected, realized = _totals(batches(), mode)
+    expected, realized = _totals(batches(), mode, len(configs))
     return expected, realized, randomized
 
 
-def _totals(batches, mode: Analytic | Sampled) -> tuple[np.ndarray, np.ndarray]:
-    """(expected mistakes, realized maximum -- empty in analytic mode) per ordering of (p_one, ys) batches.
+def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(expected mistakes, realized maximum -- empty in analytic mode), (L, orderings) each, of batches.
 
-    Ordering k overall is drawn, in sampled mode, from mode.seed + (k,).
+    Each batch is (p_one, (L, B, T), ys, (B, T)). Ordering k overall is drawn,
+    in sampled mode, from mode.seed + (k,), once for all the learners.
     """
     expected, realized = [], []
     index = 0
     for p_one, ys in batches:
+        B = p_one.shape[1]
         if isinstance(mode, Sampled):
             seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
-            totals = np.empty(len(p_one))
-            maxima = np.empty(len(p_one), dtype=np.int64)
-            for k in range(len(p_one)):
-                maxima[k], round_probs, _ = sample_mistakes(
-                    seed + (index + k,), mode.trials, p_one[k], ys[k], keep_trials=False
+            totals = np.empty((L, B))
+            maxima = np.empty((L, B), dtype=np.int64)
+            for k in range(B):
+                maxima[:, k], round_probs, _ = sample_mistakes(
+                    seed + (index + k,), mode.trials, p_one[:, k], ys[k], keep_trials=False
                 )
-                totals[k] = round_probs.sum()
+                totals[:, k] = round_probs.sum(axis=1)
             expected.append(totals)
             realized.append(maxima)
         else:
-            expected.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=1))
-        index += len(p_one)
+            expected.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
+        index += B
     return (
-        np.concatenate(expected) if expected else np.empty(0),
-        np.concatenate(realized) if realized else np.empty(0, dtype=np.int64),
+        np.concatenate(expected, axis=1) if expected else np.empty((L, 0)),
+        np.concatenate(realized, axis=1) if realized else np.empty((L, 0), dtype=np.int64),
     )
 
 
 def _batch_p_one(
-    config: LearnerConfig,
+    configs: tuple[LearnerConfig, ...],
     cls: FiniteHypothesisClass,
     cols: np.ndarray,
     truth: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """P(predict 1), (B, T), for B orderings at once, and each row's engine round count.
+    """P(predict 1) of each learner, (L, B, T), for B orderings at once, and its engine round counts, (L, B).
 
-    Row b's state is one row of expert mistake counts, and round t's advice
-    is advice_of[cols[:, t]], one (B, d) array; the row rule maps both to the
-    round's predictions. A version space never grows, so the engine predicts
-    in the first engine_rounds[b] rounds of row b and wm in the rest.
+    Row b's state is one row of expert mistake counts, shared by every
+    learner, and round t's advice is advice_of[cols[:, t]], one (B, d) array;
+    the row rule maps both to the round's predictions. A version space never
+    grows, so a learner with an engine predicts by it in the first
+    engine_rounds[l, b] rounds of row b and by wm in the rest.
     """
     B, T = cols.shape
-    p_rows = _row_rule(config, cls, T)
+    p_rows, has_engine = _row_rule(configs, cls, T)
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
     mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
-    engine_rounds = np.zeros(B, dtype=np.int64)
-    p_one = np.empty((B, T))
+    space_rounds = np.zeros(B, dtype=np.int64)
+    p_one = np.empty((len(configs), B, T))
     for t in range(T):
         advice = advice_of[cols[:, t]]
-        p_one[:, t], in_space = p_rows(mistakes, advice, cols[:, t])
-        engine_rounds += in_space
+        p_one[:, :, t], in_space = p_rows(mistakes, advice, cols[:, t])
+        space_rounds += in_space
         mistakes += advice != truth[:, t, None]
-    return p_one, engine_rounds
+    return p_one, np.outer(has_engine, space_rounds)
 
 
-def _row_rule(config: LearnerConfig, cls: FiniteHypothesisClass, T: int):
-    """The learner's prediction on rows, for sequences of length T.
+def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T: int):
+    """The distinct learners' predictions on rows, for sequences of length T, and which have an engine, (L,).
 
     The returned function maps R rows of (expert mistake counts, advice on
-    the row's instance, that instance's column) to (P(predict 1), whether the
-    row's version space -- the experts with no mistake -- is non-empty), two
-    (R,) arrays. Engine rows predict by the version-space rule, the rest by
-    wm; wm has no engine, so none of its rows is in a space. A baseline
-    raises WrongPhase on any row whose space is empty.
+    the row's instance, that instance's column) to (P(predict 1) of each
+    learner, (L, R); whether the row's version space -- the experts with no
+    mistake -- is non-empty, (R,)). A learner with an engine predicts by it on
+    the in-space rows and by wm on the rest; wm has no engine and predicts
+    every row. The rows and their spaces are shared, so each distinct
+    (engine, tie_break) runs once on the in-space rows and wm once per
+    distinct eta variant: on every row if plain wm is among the learners,
+    else on the out-of-space rows only. A baseline raises WrongPhase on any
+    row whose space is empty.
 
     Mistake counts are integers and a row's gap above its own minimum is at
     most T, so the wm weights exp(-eta * (m - min m)) are read from the table
-    decay[k] = exp(-eta * k), k = 0 .. T, built once here; P(1) is the
-    weight on 1 over the total weight, capped at 1.
+    decay[k] = exp(-eta * k), k = 0 .. T, built once per variant here; P(1)
+    is the weight on 1 over the total weight, capped at 1.
     """
-    kind = config.kind
-    engine = None if kind == "wm" else kind.removeprefix("wm_")
-    computer = LdimComputer(cls) if engine == "soa" else None
-    decay = np.exp(-eta_for(cls.d, T, config.eta_variant) * np.arange(T + 1))
+    has_engine = np.array([c.kind != "wm" for c in configs], dtype=bool)
+    engines: dict[tuple[str, str], list[int]] = {}
+    rates: dict[str, list[int]] = {}
+    for i, c in enumerate(configs):
+        if c.kind != "wm":
+            engines.setdefault((c.kind.removeprefix("wm_"), c.tie_break), []).append(i)
+        if c.kind not in BASELINE_KINDS:
+            rates.setdefault(c.eta_variant, []).append(i)
+    every_row = {c.eta_variant for c in configs if c.kind == "wm"}
+    baseline = any(c.kind in BASELINE_KINDS for c in configs)
+    computer = LdimComputer(cls) if any(e == "soa" for e, _ in engines) else None
+    decays = {v: np.exp(-eta_for(cls.d, T, v) * np.arange(T + 1)) for v in rates}
 
     def p_rows(mistakes: np.ndarray, advice: np.ndarray, cols: np.ndarray):
         low = mistakes.min(axis=1, keepdims=True)
-        p = np.empty(len(mistakes))
-        in_space = low[:, 0] == 0 if engine is not None else np.zeros(len(mistakes), dtype=bool)
+        in_space = low[:, 0] == 0
         all_in, any_in = bool(in_space.all()), bool(in_space.any())
-        if kind in BASELINE_KINDS and not all_in:
+        if baseline and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
-        if any_in:
+        p = np.empty((len(configs), len(mistakes)))
+        for variant, users in rates.items():
+            if all_in and variant not in every_row:
+                continue
+            rows = ~in_space if any_in and variant not in every_row else slice(None)
+            w = decays[variant].take(mistakes[rows] - low[rows])
+            value = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
+            for i in users:
+                p[i, rows] = value
+        if any_in and engines:  # overwrites the wm values of a hybrid's in-space rows
             rows = slice(None) if all_in else in_space
-            space = mistakes[rows] == 0
-            p[rows] = _engine_p_one(engine, config.tie_break, cls, space, advice[rows], cols[rows], computer)
-        if not all_in:
-            rows = ~in_space if any_in else slice(None)
-            w = decay.take(mistakes[rows] - low[rows])
-            p[rows] = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
+            space, row_advice, row_cols = mistakes[rows] == 0, advice[rows], cols[rows]
+            for (engine, tie_break), users in engines.items():
+                value = _engine_p_one(engine, tie_break, cls, space, row_advice, row_cols, computer)
+                for i in users:
+                    p[i, rows] = value
         return p, in_space
 
-    return p_rows
+    return p_rows, has_engine
 
 
 def _engine_p_one(

@@ -412,6 +412,7 @@ def test_unwritable_out_fails_before_any_work(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "make_case_inputs", no_work)
     monkeypatch.setattr(cli, "evaluate", no_work)
+    monkeypatch.setattr(cli, "evaluate_many", no_work)
     argv = ["run", "--T", "1000", "--d", "500", "--learners", "wm", "--perm", "sampled:100"]
     code, out, err = run_argv([*argv, "--out", str(tmp_path / "missing" / "x.csv")], capsys)
     assert code == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretlab import experiments, sequences
+from regretlab import experiments, learners, sequences
 from regretlab import (
     ANALYTIC,
     ExperimentCase,
@@ -22,12 +22,13 @@ from regretlab import (
     check_bounds,
     emit_report,
     evaluate,
+    evaluate_many,
     ldim,
     make_case_inputs,
     run,
     with_bounds,
 )
-from regretlab.learners import ETA_VARIANTS, LEARNER_KINDS, TIE_BREAKS
+from regretlab.learners import BASELINE_KINDS, ETA_VARIANTS, LEARNER_KINDS, TIE_BREAKS
 from regretlab.sequences import EXHAUSTIVE_T_CAP
 
 from . import oracles
@@ -188,10 +189,10 @@ def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_var
         want = oracles.exhaustive_reference(config, cls, base, mode)
     except WrongPhase:
         with pytest.raises(WrongPhase):
-            experiments._stream_summary(config, cls, stream, mode)
+            experiments._stream_summaries((config,), cls, stream, mode)[0]
         return
     with mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows):  # orderings cross blocks
-        assert experiments._stream_summary(config, cls, stream, mode) == want
+        assert experiments._stream_summaries((config,), cls, stream, mode)[0] == want
 
 
 def test_exhaustive_sampled_draws_follow_the_stream_index_across_blocks():
@@ -201,7 +202,7 @@ def test_exhaustive_sampled_draws_follow_the_stream_index_across_blocks():
     mode = Sampled((3, 1), trials=2)
     assert len(list(stream.blocks())) == 7
     want = oracles.exhaustive_reference(config, cls, stream.base, mode)
-    assert experiments._stream_summary(config, cls, stream, mode) == want
+    assert experiments._stream_summaries((config,), cls, stream, mode)[0] == want
 
 
 def test_sampled_permutations_reproducible():
@@ -216,6 +217,120 @@ def test_stream_must_match_case():
     other = ExperimentCase("unrealizable", 8, 4)
     with pytest.raises(ValueError):
         evaluate(LearnerConfig("wm"), other, stream)
+
+
+# --- one pass for many learners ----------------------------------------------------
+
+
+@st.composite
+def class_with_constant_and_repeated_columns(draw, max_len):
+    """A random class holding both constant columns and repeated ones, and a sequence over it.
+
+    Labels come from one member (realizable) or at random (usually not).
+    """
+    d = draw(st.integers(1, 5))
+    columns = [[0] * d, [1] * d] + draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=1, max_size=3)
+    )
+    picks = [0, 1] + draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, max_size=5))
+    cls = make_class(np.array(columns).T[:, picks])
+    xs = draw(st.lists(st.integers(0, cls.n - 1), min_size=1, max_size=max_len))
+    if draw(st.booleans()):
+        target = draw(st.integers(0, d - 1))
+        ys = [int(cls.table[target, x]) for x in xs]
+    else:
+        ys = draw(st.lists(st.integers(0, 1), min_size=len(xs), max_size=len(xs)))
+    return cls, seq_of(zip(xs, ys))
+
+
+learner_lists = st.lists(
+    st.builds(
+        LearnerConfig,
+        kind=st.sampled_from(LEARNER_KINDS),
+        eta_variant=st.sampled_from(ETA_VARIANTS),
+        tie_break=st.sampled_from(TIE_BREAKS),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def assert_many_matches_each(configs, case, stream, mode):
+    """evaluate_many equals evaluate of each config, field by field with ==, or both raise WrongPhase."""
+    try:
+        want = [evaluate(config, case, stream, mode) for config in configs]
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            evaluate_many(configs, case, stream, mode)
+        return
+    assert evaluate_many(configs, case, stream, mode) == want
+
+
+@given(
+    inputs=st.one_of(
+        class_with_constant_and_repeated_columns(max_len=6).map(lambda cs: (*cs, None)),
+        st.tuples(class_with_constant_and_repeated_columns(max_len=12), st.integers(1, 12)).map(
+            lambda inputs: (*inputs[0], inputs[1])
+        ),
+    ),
+    configs=learner_lists,
+    mode=st.one_of(
+        st.just(ANALYTIC),
+        st.builds(Sampled, seed=st.integers(0, 99), trials=st.integers(1, 3)),
+    ),
+    block_rows=st.sampled_from((1, 2, 7, sequences.BATCH_ORDERINGS)),
+)
+@settings(max_examples=200, deadline=None)
+def test_evaluate_many_equals_evaluate_of_each(inputs, configs, mode, block_rows):
+    # a count of None is an exhaustive stream (T <= 6), else that many sampled orderings
+    cls, base, count = inputs
+    # without the baselines too, which would raise WrongPhase on most unrealizable sequences
+    online = [config for config in configs if config.kind not in BASELINE_KINDS]
+    stream = PermutationStream(base, exhaustive=count is None, count=count or 0, seed=(3, 0))
+    case = ExperimentCase("realizable", max(base.T, cls.d), cls.d)  # carried into the reports only
+    with (
+        mock.patch.object(experiments, "make_case_inputs", lambda _: (cls, base)),
+        mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows),  # exhaustive blocks
+        mock.patch.object(learners, "BATCH_ORDERINGS", block_rows),  # sampled batches, shrunk per learner
+    ):
+        assert_many_matches_each(configs, case, stream, mode)
+        if online and online != configs:
+            assert_many_matches_each(online, case, stream, mode)
+
+
+@pytest.mark.parametrize("kind", ["realizable", "unrealizable"])
+def test_evaluate_many_equals_evaluate_of_each_at_paper_small_scale(kind):
+    # T=8: each ordering's 8 rounds are summed pairwise, so any change of layout would show
+    case, cls, stream = small_stream(kind)
+    kinds = LEARNER_KINDS if kind == "realizable" else ("wm", "wm_consistent", "wm_halving", "wm_soa")
+    configs = [LearnerConfig(k, eta_variant="sqrt2", tie_break="random") for k in kinds]
+    assert_many_matches_each(configs, case, stream, ANALYTIC)
+    sampled_case, _, sampled = small_stream(kind, T=40, d=12, exhaustive=False, count=30, seed=(5, 0))
+    assert_many_matches_each(configs, sampled_case, sampled, Sampled((5, 1), trials=3))
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_baseline_among_hybrids_raises_when_its_space_empties(exhaustive):
+    case, cls, stream = small_stream("unrealizable", T=6, d=3, exhaustive=exhaustive, count=5)
+    configs = [LearnerConfig("wm_halving"), LearnerConfig("halving"), LearnerConfig("wm")]
+    with pytest.raises(WrongPhase):
+        evaluate_many(configs, case, stream)
+
+
+def test_repeated_learner_is_computed_once_and_reported_twice():
+    case, cls, stream = small_stream(T=6, d=3, exhaustive=False, count=5, seed=1)
+    wm, seen = LearnerConfig("wm"), []
+    run_batch_many = experiments.run_batch_many
+
+    def spy(configs, *args):
+        seen.append(configs)
+        return run_batch_many(configs, *args)
+
+    with mock.patch.object(experiments, "run_batch_many", spy):
+        first, second = evaluate_many([wm, wm], case, stream)
+    assert seen == [(wm,)]
+    assert first == second and first is not second
+    assert evaluate_many([], case, stream) == []
 
 
 # --- bound verdicts -----------------------------------------------------------

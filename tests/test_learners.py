@@ -347,9 +347,9 @@ def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, 
     wrong = (np.random.default_rng(3).random((23, len(all_ones8))) < p_one) != truth
     assert trace.trial_mistakes.tolist() == wrong.sum(axis=1).tolist()
     assert [r.mistake_prob for r in trace.rounds] == wrong.mean(axis=0).tolist()
-    most, round_probs, trials = learners.sample_mistakes(3, 23, p_one, truth, keep_trials=False)
-    assert (most, trials) == (wrong.sum(axis=1).max(), None)
-    assert round_probs.tolist() == wrong.mean(axis=0).tolist()
+    most, round_probs, trials = learners.sample_mistakes(3, 23, p_one[None], truth, keep_trials=False)
+    assert (most.tolist(), trials) == ([wrong.sum(axis=1).max()], None)
+    assert round_probs.tolist() == [wrong.mean(axis=0).tolist()]
 
 
 # --- batched kernel ---------------------------------------------------------------
@@ -455,7 +455,7 @@ def test_kernel_engine_rounds_per_ordering(kind, inputs):
     config = LearnerConfig(kind)
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds = learners._batch_p_one(config, cls, cols[positions], truth[positions])
+    _, (engine_rounds,) = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     emptied = mistake_profile(cls, base).min() > 0  # the final counts of every ordering
     for k, order in enumerate(orders):
         want = oracles.reference_run(config, cls, [base.examples[i] for i in order])
@@ -472,6 +472,23 @@ def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_o
         for mode in (ANALYTIC, Sampled((5, 1), trials=3)):
             config = LearnerConfig(kind, tie_break="random")
             assert_kernel_matches_reference(config, threshold8, base, orders, mode)
+
+
+def test_multi_learner_batches_hold_batch_orderings_over_learner_count(monkeypatch, threshold8, all_ones8):
+    # L learners hold L (B, T) arrays, so a batch takes max(1, BATCH_ORDERINGS // L) orderings
+    monkeypatch.setattr(learners, "BATCH_ORDERINGS", 7)
+    rows, batch_p_one = [], learners._batch_p_one
+
+    def spy(configs, cls, cols, truth):
+        rows.append(len(cols))
+        return batch_p_one(configs, cls, cols, truth)
+
+    monkeypatch.setattr(learners, "_batch_p_one", spy)
+    orders = [tuple(range(8))] * 9
+    configs = tuple(LearnerConfig(kind) for kind in ("wm", "wm_halving", "wm_soa"))
+    learners.run_batch_many(configs, threshold8, all_ones8, orders)
+    learners.run_batch_many(configs * 3, threshold8, all_ones8, orders)
+    assert rows == [2, 2, 2, 2, 1] + [1] * 9
 
 
 LAST_ROUND_EMPTIES = [(1, 1), (-3, 0), (0, 1)]
@@ -535,7 +552,7 @@ def test_batch_after_every_space_empties_matches_reference(kind):
     config = LearnerConfig(kind, eta_variant="sqrt2")
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds = learners._batch_p_one(config, cls, cols[positions], truth[positions])
+    _, (engine_rounds,) = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     # every space empties, and many rounds follow the last one to empty
     assert mistake_profile(cls, base).min() > 0 and engine_rounds.max() < base.T - 10
     for mode in (ANALYTIC, Sampled(4, trials=3)):
