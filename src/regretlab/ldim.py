@@ -13,13 +13,19 @@ full mask, which split no member set, each mapped to its lowest column
 index. A threshold class over T points has at most d - 1 of them, however
 large T is.
 
-For each member set the recursion drops the columns that do not split it and
-the ones giving a restriction pair already seen, then tries the splits most
-even first, in decreasing order of their smaller side. Since no set of size
-s admits a shattered tree deeper than floor(log2 s), a split whose smaller
-side has s members is worth at most 1 + floor(log2 s); the search stops when
-that cannot beat the best value found, or when the best reaches
-floor(log2 |V|). Both stops leave every memo value exact.
+For each member set the recursion drops the candidate columns that do not
+split it and the ones giving a restriction pair already seen, then tries the
+splits most even first, in decreasing order of their smaller side. A query
+starts from the class's splitting columns; each child then scans only its
+parent's splits, one per distinct restriction pair, because a column that
+splits a subset of V also splits V, and two columns that restrict V alike
+restrict every subset of V alike. Those candidates keep column order, so
+every set tries its splits in the order a full scan would, and the search
+and its memo are the same. Since no set of size s admits a shattered tree
+deeper than floor(log2 s), a split whose smaller side has s members is worth
+at most 1 + floor(log2 s); the search stops when that cannot beat the best
+value found, or when the best reaches floor(log2 |V|). Both stops leave every
+memo value exact.
 
 Witness trees walk the same splitting columns in column order, so each node
 is the lowest-indexed domain point that supports the remaining depth. They
@@ -94,24 +100,30 @@ class LdimComputer:
         self._memo, self._splits = record
 
     def value(self, mask: int) -> int:
+        return self._value(mask, self._splits)
+
+    def _value(self, mask: int, candidates) -> int:
+        """Ldim of `mask`; `candidates` restrict it as the class's splitting columns do, in column order."""
         cached = self._memo.get(mask)
         if cached is not None:
             return cached
         size = mask.bit_count()
         cap = size.bit_length() - 1  # floor(log2 size)
-        # one restriction side per distinct split -> size of the smaller side
+        # one restriction side per distinct split -> size of the smaller side;
+        # its keys, in column order, are the candidates of both children
         smaller: dict[int, int] = {}
-        for ones in self._splits:
+        for ones in candidates:
             m1 = mask & ones
             if m1 and m1 != mask:
                 m0 = mask ^ m1
                 ones_count = m1.bit_count()
-                smaller[min(m0, m1)] = min(ones_count, size - ones_count)
+                # min() of each pair, spelled out: this loop is most of an Ldim query
+                smaller[m1 if m1 < m0 else m0] = ones_count if 2 * ones_count <= size else size - ones_count
         best = 0
         for side, small in sorted(smaller.items(), key=itemgetter(1), reverse=True):
             if best >= cap or small.bit_length() <= best:  # 1 + floor(log2 small) <= best
                 break
-            best = max(best, 1 + min(self.value(side), self.value(mask ^ side)))
+            best = max(best, 1 + min(self._value(side, smaller), self._value(mask ^ side, smaller)))
         self._memo[mask] = best
         return best
 

@@ -6,8 +6,9 @@ with none. Its prediction is a function of that state and the instance:
 
 - consistent: the label of the lowest surviving hypothesis;
 - halving: the majority vote of the survivors (ties by `tie_break`);
-- soa: the label whose restriction keeps the larger Littlestone dimension,
-  read from the class's one Ldim memo (ties go to 1; an empty side loses);
+- soa: the label all survivors give, if they agree; else the label whose
+  restriction keeps the larger Littlestone dimension, read from the class's
+  one Ldim memo (ties go to 1);
 - wm: P(predict 1) = the weight mass on 1, weights exp(-eta * mistakes);
 - wm_consistent, wm_halving, wm_soa: the engine while the version space is
   non-empty, then wm on the same mistake counts.
@@ -48,7 +49,8 @@ from .hypotheses import FiniteHypothesisClass, Sequence, bitmasks, mistake_profi
 # Not called here: kept as the attribute perfbench/spans.py wraps as `learners.restrict`.
 from .hypotheses import restrict  # noqa: F401
 from .ldim import LdimComputer
-from .sequences import BATCH_ORDERINGS, PermutationStream
+from . import sequences
+from .sequences import PermutationStream
 
 BASELINE_KINDS = ("consistent", "halving", "soa")
 HYBRID_KINDS = ("wm_consistent", "wm_halving", "wm_soa")
@@ -300,15 +302,15 @@ def run_batch_many(
 
     Returns (expected mistakes, realized maxima), each (L, orderings), and
     whether each learner randomized any prediction, (L,). The orderings go
-    through the round kernel in batches of max(1, BATCH_ORDERINGS // L), so a
-    batch's L (B, T) arrays of P(predict 1) are no larger than one learner's
-    batch of BATCH_ORDERINGS. The SOA rule depends only on the version space,
-    so every ordering reads the class's one Ldim memo.
+    through the round kernel in batches of max(1, sequences.BATCH_ORDERINGS // L),
+    read per call, so a batch's L (B, T) arrays of P(predict 1) are no larger
+    than one learner's batch of BATCH_ORDERINGS. The SOA rule depends only on
+    the version space, so every ordering reads the class's one Ldim memo.
     """
     examples = tuple(base)
     T = len(examples)
     cols, truth = _rounds(cls, examples)
-    size = max(1, BATCH_ORDERINGS // (len(configs) or 1))
+    size = max(1, sequences.BATCH_ORDERINGS // (len(configs) or 1))
     randomized = np.zeros(len(configs), dtype=bool)
 
     def batches():
@@ -497,8 +499,10 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
         if any_in and engines:  # overwrites the wm values of a hybrid's in-space rows
             rows = slice(None) if all_in else in_space
             space, row_advice, row_cols = mistakes[rows] == 0, advice[rows], cols[rows]
+            # each row's survivors voting 1 and its space size, read by halving and soa
+            votes = (space & row_advice).sum(axis=1), space.sum(axis=1)
             for (engine, tie_break), users in engines.items():
-                value = _engine_p_one(engine, tie_break, cls, space, row_advice, row_cols, computer)
+                value = _engine_p_one(engine, tie_break, cls, space, row_advice, row_cols, votes, computer)
                 for i in users:
                     p[i, rows] = value
         return p, in_space
@@ -513,23 +517,28 @@ def _engine_p_one(
     space: np.ndarray,
     advice: np.ndarray,
     cols: np.ndarray,
+    votes: tuple[np.ndarray, np.ndarray],
     computer: LdimComputer | None,
 ) -> np.ndarray:
-    """P(predict 1) of a version-space rule on rows whose space (a bool row) is non-empty."""
+    """P(predict 1) of a version-space rule on rows whose space (a bool row) is non-empty.
+
+    `votes` is each row's (survivors voting 1, space size), for halving and soa.
+    """
     if engine == "consistent":  # the lowest surviving index
         first = space.argmax(axis=1)
         return advice[np.arange(len(first)), first].astype(np.float64)
+    ones, size = votes
     if engine == "halving":
-        ones = (space & advice).sum(axis=1)
-        zeros = space.sum(axis=1) - ones
+        zeros = size - ones
         p = (ones > zeros).astype(np.float64)
         p[ones == zeros] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
         return p
-    # soa: the side keeping the larger Ldim; ties go to 1, and an empty side
-    # counts as Ldim -1 so the non-empty side always wins
-    p = []
-    for mask, j in zip(bitmasks(space), cols):
-        m1 = mask & cls.ones_mask(j)
-        m0 = mask ^ m1
-        p.append(float((computer.value(m1) if m1 else -1) >= (computer.value(m0) if m0 else -1)))
-    return np.array(p)
+    # soa: when the survivors agree, the other side is empty and loses (Ldim
+    # -1), so the row predicts their label; only a row whose instance splits
+    # its space compares the two sides' Ldim, ties going to 1
+    p = (ones > 0).astype(np.float64)
+    split = np.flatnonzero((ones > 0) & (ones < size))
+    for i, mask in zip(split, bitmasks(space[split])):
+        m1 = mask & cls.ones_mask(cols[i])
+        p[i] = float(computer.value(m1) >= computer.value(mask ^ m1))
+    return p

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretlab import experiments, learners, sequences
+from regretlab import experiments, sequences
 from regretlab import (
     ANALYTIC,
     ExperimentCase,
@@ -290,8 +290,8 @@ def test_evaluate_many_equals_evaluate_of_each(inputs, configs, mode, block_rows
     case = ExperimentCase("realizable", max(base.T, cls.d), cls.d)  # carried into the reports only
     with (
         mock.patch.object(experiments, "make_case_inputs", lambda _: (cls, base)),
-        mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows),  # exhaustive blocks
-        mock.patch.object(learners, "BATCH_ORDERINGS", block_rows),  # sampled batches, shrunk per learner
+        # exhaustive blocks, and sampled batches shrunk per learner
+        mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows),
     ):
         assert_many_matches_each(configs, case, stream, mode)
         if online and online != configs:

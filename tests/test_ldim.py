@@ -203,6 +203,20 @@ def test_value_matches_full_scan(cls, raw_masks):
     assert LdimComputer(cls).value(full) == ldim_by_scan(cls)
 
 
+@given(scan_classes(), st.integers(1, 2**13 - 1))
+@settings(max_examples=150, deadline=None)
+def test_every_memo_entry_matches_full_scan(cls, raw_mask):
+    """The sets computed from their parents' narrowed candidates are exact, not only the answer."""
+    mask = raw_mask & cls.full_space().mask or cls.full_space().mask
+    fresh = make_class(cls.table)  # an empty memo, so every entry comes from this query
+    computer = LdimComputer(fresh)
+    computer.value(mask)
+    scan_memo: dict[int, int] = {}
+    assert mask in computer._memo
+    for key, value in computer._memo.items():
+        assert value == ldim_by_scan(cls, key, scan_memo), key
+
+
 @given(scan_classes())
 @settings(max_examples=150, deadline=None)
 def test_witness_matches_full_scan(cls):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from regretlab import (
     ANALYTIC,
+    ExperimentCase,
     LdimComputer,
     LearnerConfig,
     Sampled,
@@ -15,13 +16,14 @@ from regretlab import (
     UnknownInstance,
     WrongPhase,
     eta_for,
+    make_case_inputs,
     mistake_profile,
     restrict,
     run,
     run_batch,
     wm_weights,
 )
-from regretlab import learners
+from regretlab import learners, sequences
 from regretlab.learners import HYBRID_KINDS, LEARNER_KINDS, TIE_BREAKS
 
 from . import oracles
@@ -98,6 +100,36 @@ def test_soa_singleton(threshold8):
     prefix = [(1, 0), (2, 1)]
     assert survivors(threshold8, prefix) == [1]
     assert last_round("soa", threshold8, prefix, 2).p_one == 1
+
+
+def test_soa_consults_ldim_only_where_the_instance_splits_the_space(monkeypatch):
+    # the points x <= 0 open the sequence, and every threshold labels them 0;
+    # once x = 1 is seen, only h_0 survives
+    cls, base = make_case_inputs(ExperimentCase("realizable", 32, 16))
+    rng = np.random.default_rng(4)
+    low = [e for e in base.examples if e[0] <= 0]
+    high = [e for e in base.examples if e[0] > 0]
+    pairs = [low[i] for i in rng.permutation(len(low))] + [high[i] for i in rng.permutation(len(high))]
+    calls = []
+    value = LdimComputer.value
+
+    def counting_value(computer, mask):
+        calls.append(mask)
+        return value(computer, mask)
+
+    monkeypatch.setattr(LdimComputer, "value", counting_value)
+    totals, splits = [], []  # calls of a run over the first t + 1 rounds; whether round t splits
+    for t, (x, _) in enumerate(pairs):
+        calls.clear()
+        run(LearnerConfig("soa"), cls, seq_of(pairs[: t + 1]))
+        totals.append(len(calls))
+        space = survivors(cls, pairs[:t])
+        ones = sum(cls.evaluate(i, x) for i in space)
+        splits.append(0 < ones < len(space))
+    assert not any(splits[: len(low)]) and any(splits)
+    assert len(survivors(cls, pairs)) == 1
+    # each split round compares the Ldim of its two sides; no other round asks
+    assert np.diff([0, *totals]).tolist() == [2 if split else 0 for split in splits]
 
 
 # --- weighted majority ---------------------------------------------------------
@@ -465,7 +497,7 @@ def test_kernel_engine_rounds_per_ordering(kind, inputs):
 
 @pytest.mark.parametrize("kind", ["wm_soa", "wm_halving", "soa"])
 def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_ones8, kind):
-    monkeypatch.setattr(learners, "BATCH_ORDERINGS", 7)
+    monkeypatch.setattr(sequences, "BATCH_ORDERINGS", 7)
     rng = np.random.default_rng(0)
     orders = [tuple(int(i) for i in rng.permutation(8)) for _ in range(30)]
     for base in (realizable8, all_ones8):
@@ -476,7 +508,7 @@ def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_o
 
 def test_multi_learner_batches_hold_batch_orderings_over_learner_count(monkeypatch, threshold8, all_ones8):
     # L learners hold L (B, T) arrays, so a batch takes max(1, BATCH_ORDERINGS // L) orderings
-    monkeypatch.setattr(learners, "BATCH_ORDERINGS", 7)
+    monkeypatch.setattr(sequences, "BATCH_ORDERINGS", 7)
     rows, batch_p_one = [], learners._batch_p_one
 
     def spy(configs, cls, cols, truth):
@@ -542,6 +574,25 @@ def test_long_run_matches_scalar_reference(kind, eta_variant):
         assert abs(g.p_one - w.p_one) <= 1e-12
     assert abs(got.expected_mistakes - want.expected_mistakes) <= 1e-12
     assert got.switch_round == want.switch_round
+
+
+@pytest.mark.parametrize(
+    ("case_kind", "kind"), [("realizable", "soa"), ("realizable", "wm_soa"), ("unrealizable", "wm_soa")]
+)
+def test_soa_at_depth_matches_scalar_reference(case_kind, kind):
+    # a T=128, d=64 threshold class: Ldim 6, so the recursion runs deep and
+    # its children read their parents' narrowed candidates
+    cls, base = make_case_inputs(ExperimentCase(case_kind, 128, 64))
+    config = LearnerConfig(kind, eta_variant="sqrt2")
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        seq = Sequence(tuple(base.examples[i] for i in rng.permutation(base.T)))
+        got, want = run(config, cls, seq), oracles.reference_run(config, cls, seq)
+        assert got.switch_round == want.switch_round
+        engine_rounds = base.T if want.switch_round is None else want.switch_round
+        assert [r.p_one for r in got.rounds[:engine_rounds]] == [r.p_one for r in want.rounds[:engine_rounds]]
+        for g, w in zip(got.rounds[engine_rounds:], want.rounds[engine_rounds:], strict=True):
+            assert abs(g.p_one - w.p_one) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["wm_consistent", "wm_halving"])
