@@ -10,10 +10,12 @@ together, round by round, from a fresh learner state; there is no learner
 object per ordering. An exhaustive stream runs through
 `learners.run_exhaustive_many`, which predicts once per (prefix type counts,
 next example type) and reads every ordering's rounds from that table, with
-the same per-ordering values. Expectations are means of per-ordering
-analytic expected mistakes, so exhaustive runs are exactly reproducible.
-Sampled-realized maxima are reported alongside the analytic maxima because
-the two readings of a "max mistakes" column differ for randomized learners.
+the same per-ordering values. An ordering's expected mistakes are exact in
+analytic mode and the mean over its sampled passes in sampled mode; a report
+gives their mean and maximum over the orderings, so exhaustive analytic runs
+are exactly reproducible. The most mistakes in one sampled pass is reported
+alongside, because the two readings of a "max mistakes" column differ for
+randomized learners.
 Every stream runs in this process.
 """
 

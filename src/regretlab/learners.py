@@ -23,9 +23,12 @@ cross-checks the analytic numbers.
 at a time, for several learners at once. No prediction changes the experts'
 mistake counts, so every learner has the same version space each round and
 switches in the same round: the counts, the space and each distinct wm rate
-are computed once per round and shared. Mistake counts are integers, so the
-wm weights come from one table of exp(-eta * k) over the integer gaps k <= t
-above each row's fewest mistakes, with no exp per round. `run_batch_many`
+are computed once per round and shared. A round whose instance lies in a
+blank column, one no hypothesis labels 1, skips the row rule: every learner
+predicts 0 there and no expert's gap above its row's fewest mistakes moves;
+labeled 1, it still empties the version space. Mistake counts are integers,
+so the wm weights come from one table of exp(-eta * k) over the integer gaps
+k <= t above each row's fewest mistakes, with no exp per round. `run_batch_many`
 gives per-ordering totals of each learner over many orderings, and in sampled
 mode every learner reads the same draws of each ordering; `run_batch` is its
 one-learner case, and `run` the one-ordering case that keeps the per-round
@@ -121,6 +124,9 @@ class Sampled:
 ANALYTIC = Analytic()
 
 SAMPLE_BLOCK_DRAWS = 1 << 20  # uniform draws held in memory at once per sampled pass set
+# draws of several orderings' passes compared at once; far below SAMPLE_BLOCK_DRAWS,
+# so that grouping orderings does not raise the peak memory of long passes
+ORDERINGS_BLOCK_DRAWS = 1 << 16
 
 
 def sample_mistakes(
@@ -285,7 +291,9 @@ def run_batch(
     ordering, realized maximum over trials per ordering -- empty in analytic
     mode --, whether any prediction was randomized). The iterable is consumed
     once. Ordering k of it draws, in sampled mode, from the seed
-    mode.seed + (k,). The one-learner case of `run_batch_many`.
+    mode.seed + (k,). An ordering that is not a permutation of range(T)
+    raises ValueError before any round of its batch. The one-learner case of
+    `run_batch_many`.
     """
     expected, realized, randomized = run_batch_many((config,), cls, base, orders, mode)
     return expected[0], realized[0], bool(randomized[0])
@@ -318,6 +326,8 @@ def run_batch_many(
         orders_ = iter(orders)
         while batch := list(islice(orders_, size)):
             positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
+            if not (np.sort(positions, axis=1) == np.arange(T)).all():
+                raise ValueError(f"every ordering must be a permutation of range({T})")
             ys = truth[positions]
             p_one, engine_rounds = _batch_p_one(configs, cls, cols[positions], ys)
             # any wm-phase round or random halving tie, as `run` flags them per round
@@ -400,25 +410,50 @@ def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.n
     expected, realized = [], []
     index = 0
     for p_one, ys in batches:
-        B = p_one.shape[1]
         if isinstance(mode, Sampled):
-            seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
-            totals = np.empty((L, B))
-            maxima = np.empty((L, B), dtype=np.int64)
-            for k in range(B):
-                maxima[:, k], round_probs, _ = sample_mistakes(
-                    seed + (index + k,), mode.trials, p_one[:, k], ys[k], keep_trials=False
-                )
-                totals[:, k] = round_probs.sum(axis=1)
+            totals, maxima = _sampled_totals(mode, p_one, ys, index)
             expected.append(totals)
             realized.append(maxima)
         else:
             expected.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
-        index += B
+        index += p_one.shape[1]
     return (
         np.concatenate(expected, axis=1) if expected else np.empty((L, 0)),
         np.concatenate(realized, axis=1) if realized else np.empty((L, 0), dtype=np.int64),
     )
+
+
+def _sampled_totals(mode: Sampled, p_one: np.ndarray, ys: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean mistakes over the passes, most mistakes in one pass), (L, B) each, of a batch's orderings.
+
+    Ordering k of the batch draws from mode.seed + (first + k,). The passes of
+    consecutive orderings fill one block of at most ORDERINGS_BLOCK_DRAWS
+    draws, each ordering from its own generator, and the block is compared
+    and summed at once; an ordering whose passes outgrow a block goes alone
+    through `sample_mistakes`, which splits them into SAMPLE_BLOCK_DRAWS.
+    Either way a mean adds each round's mistake count / trials over the
+    rounds, so the two agree bit for bit.
+    """
+    L, B, T = p_one.shape
+    seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
+    totals, maxima = np.empty((L, B)), np.empty((L, B), dtype=np.int64)
+    per_block = ORDERINGS_BLOCK_DRAWS // max(mode.trials * T, 1)
+    if per_block == 0:
+        for k in range(B):
+            maxima[:, k], round_probs, _ = sample_mistakes(
+                seed + (first + k,), mode.trials, p_one[:, k], ys[k], keep_trials=False
+            )
+            totals[:, k] = round_probs.sum(axis=1)
+        return totals, maxima
+    for start in range(0, B, per_block):
+        stop = min(start + per_block, B)
+        draws = np.empty((stop - start, mode.trials, T))
+        for k in range(start, stop):
+            np.random.default_rng(seed + (first + k,)).random(out=draws[k - start])
+        wrong = (draws < p_one[:, start:stop, None]) != ys[start:stop, None]  # (L, orderings, trials, T)
+        maxima[:, start:stop] = wrong.sum(axis=3).max(axis=2)
+        totals[:, start:stop] = (wrong.sum(axis=2) / mode.trials).sum(axis=2)
+    return totals, maxima
 
 
 def _batch_p_one(
@@ -434,19 +469,53 @@ def _batch_p_one(
     the row rule maps both to the round's predictions. A version space never
     grows, so a learner with an engine predicts by it in the first
     engine_rounds[l, b] rounds of row b and by wm in the rest.
+
+    A round whose instance lies in a blank column (no hypothesis labels it 1)
+    never reaches the row rule: every learner predicts 0.0 there, and no
+    expert's gap above its row's fewest mistakes moves. The rows order one
+    multiset, so each keeps the same K rounds, and the loop runs K times. A
+    blank round labeled 1 still makes every expert err: a row's first one
+    adds 1 to all its counts before the row's next kept round, and it sets
+    engine_rounds if the space was still non-empty then. A baseline raises
+    WrongPhase if any space is empty before some round, kept or blank.
     """
     B, T = cols.shape
     p_rows, has_engine = _row_rule(configs, cls, T)
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
+    kept = advice_of.any(axis=1)[cols]
+    K = int(kept[0].sum())
+    pos = np.broadcast_to(np.arange(T, dtype=np.int32), (B, T))[kept].reshape(B, K)  # kept rounds
+    blank_one = truth & ~kept
+    first_blank_one = (~np.logical_or.accumulate(blank_one, axis=1)).sum(axis=1)  # T if none
+    # the kept round each row's first blank 1 precedes (K: after the last); -1 if none
+    bump_at = np.where(first_blank_one < T, (pos < first_blank_one[:, None]).sum(axis=1), -1)
+    kept_cols, kept_truth = cols[kept].reshape(B, K), truth[kept].reshape(B, K)
+    emptied_by_blank = np.zeros(B, dtype=bool)
     mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
     space_rounds = np.zeros(B, dtype=np.int64)
-    p_one = np.empty((len(configs), B, T))
-    for t in range(T):
-        advice = advice_of[cols[:, t]]
-        p_one[:, :, t], in_space = p_rows(mistakes, advice, cols[:, t])
+    kept_p_one = np.empty((len(configs), B, K))
+    for k in range(K + 1):
+        bumped = np.flatnonzero(bump_at == k)
+        if bumped.size:
+            emptied_by_blank[bumped] = mistakes[bumped].min(axis=1) == 0
+            mistakes[bumped] += 1
+        if k == K:
+            break
+        advice = advice_of[kept_cols[:, k]]
+        kept_p_one[:, :, k], in_space = p_rows(mistakes, advice, kept_cols[:, k])
         space_rounds += in_space
-        mistakes += advice != truth[:, t, None]
-    return p_one, np.outer(has_engine, space_rounds)
+        mistakes += advice != kept_truth[:, k, None]
+    p_one = np.zeros((len(configs), B, T))
+    p_one[:, kept] = kept_p_one.reshape(len(configs), B * K)
+    # a space empties at the first blank 1 that finds it non-empty, else in the
+    # update of its last in-space kept round, if ever
+    engine_rounds = np.full(B, T)
+    by_kept = (mistakes.min(axis=1) > 0) & ~emptied_by_blank
+    engine_rounds[by_kept] = pos[by_kept, space_rounds[by_kept] - 1] + 1
+    engine_rounds[emptied_by_blank] = first_blank_one[emptied_by_blank] + 1
+    if any(c.kind in BASELINE_KINDS for c in configs) and (engine_rounds < T).any():
+        raise WrongPhase("version space is empty; the sequence is not realizable")
+    return p_one, np.outer(has_engine, engine_rounds)
 
 
 def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T: int):

@@ -219,6 +219,17 @@ GOLDEN = Path(__file__).parent / "golden"
             "--case unrealizable --T 32 --d 16 --learners wm_soa --perm sampled:24"
             " --mode sampled:3 --seed 5",
         ),
+        # the paper's scale: half the domain (x <= 0) is instances no hypothesis labels 1
+        (
+            "realizable_T1000_d500_wm.json",
+            "--case realizable --T 1000 --d 500 --learners wm,wm_halving --eta-variant sqrt2"
+            " --perm sampled:8 --seed 7",
+        ),
+        (
+            "unrealizable_T1000_d500_wm.json",
+            "--case unrealizable --T 1000 --d 500 --learners wm,wm_halving --eta-variant sqrt2"
+            " --perm sampled:8 --mode sampled:5 --seed 7",
+        ),
     ],
 )
 def test_json_report_matches_golden_bytes(capsys, monkeypatch, golden, argv):

@@ -459,6 +459,10 @@ def test_batch_kernel_matches_per_ordering_run(kind, inputs, tie_break, eta_vari
 def test_run_matches_scalar_reference(kind, tie_break, inputs, eta_variant, mode):
     cls, seq = inputs
     config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    assert_run_matches_reference(config, cls, seq, mode)
+
+
+def assert_run_matches_reference(config, cls, seq, mode):
     try:
         want = oracles.reference_run(config, cls, seq, mode)
     except WrongPhase:
@@ -477,6 +481,153 @@ def test_run_matches_scalar_reference(kind, tie_break, inputs, eta_variant, mode
         assert got.trial_mistakes is None
     else:
         assert got.trial_mistakes.tolist() == want.trial_mistakes.tolist()
+
+
+# --- blank columns: instances that no hypothesis labels 1 -------------------------
+
+
+@st.composite
+def blank_column_inputs(draw):
+    """A class (d, n <= 6) with blank and all-1 columns, a sequence that visits a blank one, and orderings.
+
+    Realizable or random labels, and then each blank instance may be labeled
+    1, which every hypothesis gets wrong.
+    """
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    table = np.array(draw(st.lists(st.integers(0, 1), min_size=d * n, max_size=d * n))).reshape(d, n)
+    forced = draw(st.lists(st.sampled_from(("blank", "ones", None)), min_size=n, max_size=n))
+    forced[draw(st.integers(0, n - 1))] = "blank"
+    for j, kind in enumerate(forced):
+        if kind is not None:
+            table[:, j] = kind == "ones"
+    cls = make_class(table)
+    T = draw(st.integers(1, 7))
+    xs = [draw(st.integers(0, n - 1)) for _ in range(T)]
+    xs[draw(st.integers(0, T - 1))] = forced.index("blank")
+    if draw(st.booleans()):
+        target = draw(st.integers(0, d - 1))
+        ys = [int(table[target, x]) for x in xs]
+    else:
+        ys = [draw(st.integers(0, 1)) for _ in range(T)]
+    ys = [1 if forced[x] == "blank" and draw(st.booleans()) else y for x, y in zip(xs, ys)]
+    orders = draw(st.lists(st.permutations(range(T)), min_size=1, max_size=4))
+    return cls, seq_of(zip(xs, ys)), orders
+
+
+def assert_rounds_match_reference(config, cls, base, orders, mode):
+    """`run` of each ordering, `run_batch` and the kernel's per-row engine rounds against `oracles.reference_run`."""
+    seqs = [seq_of(base.examples[i] for i in order) for order in orders]
+    for seq in seqs:
+        assert_run_matches_reference(config, cls, seq, mode)
+    assert_kernel_matches_reference(config, cls, base, orders, mode)
+    cols, truth = learners._rounds(cls, base.examples)
+    positions = np.array(orders)
+    try:
+        wants = [oracles.reference_run(config, cls, seq) for seq in seqs]
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+        return
+    _, (engine_rounds,) = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+    if config.kind == "wm":
+        assert engine_rounds.tolist() == [0] * len(orders)
+    else:
+        assert engine_rounds.tolist() == [base.T if w.switch_round is None else w.switch_round for w in wants]
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(inputs=blank_column_inputs(), eta_variant=st.sampled_from(("sqrt8", "sqrt2")), mode=modes)
+@settings(max_examples=25, deadline=None)
+def test_blank_column_rounds_match_reference(kind, tie_break, inputs, eta_variant, mode):
+    cls, base, orders = inputs
+    config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    assert_rounds_match_reference(config, cls, base, orders, mode)
+
+
+# threshold8 labels x <= 0 with 0 under every hypothesis
+BLANK_ROUND_SEQUENCES = {
+    "only_a_blank_one_empties": [(1, 1), (-2, 1), (2, 1), (-1, 0)],
+    "blank_one_is_the_final_round": [(1, 1), (3, 0), (-2, 1)],
+    "only_blank_rounds_follow_a_kept_emptying": [(1, 1), (1, 0), (-3, 0), (-1, 1)],
+    "only_blank_rounds_follow_a_blank_emptying": [(1, 1), (-2, 1), (-1, 0), (-3, 1)],
+}
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@pytest.mark.parametrize("name", BLANK_ROUND_SEQUENCES)
+def test_blank_rounds_that_empty_the_space(threshold8, name, kind, tie_break):
+    base = seq_of(BLANK_ROUND_SEQUENCES[name])
+    orders = list(itertools.permutations(range(base.T)))
+    config = LearnerConfig(kind, tie_break=tie_break)
+    for mode in (ANALYTIC, Sampled((6, 1), trials=2)):
+        assert_rounds_match_reference(config, threshold8, base, orders, mode)
+
+
+@pytest.mark.parametrize("case_kind", ["realizable", "unrealizable"])
+def test_row_rule_runs_only_on_rounds_off_blank_columns(monkeypatch, case_kind):
+    # T=128, d=64 thresholds: no hypothesis labels any of the 64 instances x <= 0 with 1
+    cls, base = make_case_inputs(ExperimentCase(case_kind, 128, 64))
+    calls, row_rule = [], learners._row_rule
+
+    def counting_row_rule(*args):
+        p_rows, has_engine = row_rule(*args)
+
+        def counted(*rows):
+            calls.append(len(rows[0]))
+            return p_rows(*rows)
+
+        return counted, has_engine
+
+    monkeypatch.setattr(learners, "_row_rule", counting_row_rule)
+    rng = np.random.default_rng(1)
+    orders = [rng.permutation(base.T).tolist() for _ in range(5)]
+    configs = (LearnerConfig("wm"), LearnerConfig("wm_halving"))
+    learners.run_batch_many(configs, cls, base, orders)
+    assert calls == [5] * 64
+
+
+def test_batch_refuses_orderings_that_are_not_permutations(monkeypatch, threshold8):
+    base = seq_of([(-3, 0), (1, 1), (2, 1), (0, 0)])
+    monkeypatch.setattr(learners, "_batch_p_one", lambda *args: pytest.fail("a round ran"))
+    for order in ([0, 0, 0, 0], [-1, 0, 1, 2], [0, 1, 2, 9]):
+        with pytest.raises(ValueError, match="permutation"):
+            run_batch(LearnerConfig("wm"), threshold8, base, [order])
+        with pytest.raises(ValueError, match="permutation"):
+            learners.run_batch_many((LearnerConfig("wm_halving"),), threshold8, base, [range(4), order])
+
+
+def test_sampled_orderings_share_draw_blocks(monkeypatch, threshold8, all_ones8):
+    # blocks of every ordering of a batch, of four and of one, and single orderings whose
+    # passes split into blocks of one; kernel batches of 4 orderings, so a batch's first
+    # ordering is not ordering 0
+    monkeypatch.setattr(sequences, "BATCH_ORDERINGS", 8)
+    rng = np.random.default_rng(2)
+    orders = [rng.permutation(8).tolist() for _ in range(9)]
+    configs = (LearnerConfig("wm"), LearnerConfig("wm_halving", tie_break="random"))
+    mode = Sampled((4, 1), trials=3)
+    alone, sample_mistakes = [], learners.sample_mistakes
+
+    def counting_sample_mistakes(*args, **kwargs):
+        alone.append(1)
+        return sample_mistakes(*args, **kwargs)
+
+    monkeypatch.setattr(learners, "sample_mistakes", counting_sample_mistakes)
+    for block, passes, orderings_alone in (
+        (1 << 16, 1 << 20, 0), (4 * 3 * 8, 1 << 20, 0), (3 * 8, 1 << 20, 0), (3 * 8 - 1, 8, 9)
+    ):
+        monkeypatch.setattr(learners, "ORDERINGS_BLOCK_DRAWS", block)
+        monkeypatch.setattr(learners, "SAMPLE_BLOCK_DRAWS", passes)
+        alone.clear()
+        expected, realized, _ = learners.run_batch_many(configs, threshold8, all_ones8, orders, mode)
+        assert len(alone) == orderings_alone
+        for k, order in enumerate(orders):
+            seq = seq_of(all_ones8.examples[i] for i in order)
+            for l, config in enumerate(configs):
+                trace = run(config, threshold8, seq, Sampled((4, 1, k), trials=3))
+                assert expected[l, k] == trace.expected_mistakes
+                assert realized[l, k] == trace.trial_mistakes.max()
 
 
 @pytest.mark.parametrize("kind", HYBRID_KINDS)
