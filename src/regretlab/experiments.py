@@ -4,8 +4,8 @@
 for all of them: the class is built once, and every learner shares each
 ordering's mistake counts, version space and switch round, its wm rows and,
 in sampled mode, its draws. `evaluate` is its one-learner case. The
-orderings of a sampled stream run as batches through
-`learners.run_batch_many`, which advances every ordering of a batch
+orderings of a sampled stream run as the stream's blocks through
+`learners.run_batch_many`, which advances every ordering of a block
 together, round by round, from a fresh learner state; there is no learner
 object per ordering. An exhaustive stream runs through
 `learners.run_exhaustive_many`, which predicts once per (prefix type counts,
@@ -15,7 +15,8 @@ analytic mode and the mean over its sampled passes in sampled mode; a report
 gives their mean and maximum over the orderings, so exhaustive analytic runs
 are exactly reproducible. The most mistakes in one sampled pass is reported
 alongside, because the two readings of a "max mistakes" column differ for
-randomized learners.
+randomized learners. The largest exact per-ordering expectation is kept in
+both modes, for the realizable bound checks.
 Every stream runs in this process.
 """
 
@@ -73,6 +74,8 @@ class PermutationReport:
     expected_mistakes: float
     max_mistakes: float
     expected_regret: float
+    # the largest exact per-ordering expected mistakes; max_mistakes in analytic mode
+    max_exact_mistakes: float
     max_mistakes_sampled: float | None = None
     bounds: tuple[BoundVerdict, ...] = ()
 
@@ -119,7 +122,7 @@ def evaluate_many(
     best, _ = best_mistakes(mistake_profile(cls, base))
     reports = []
     for config in configs:
-        mean, max_analytic, max_sampled = summaries[config]
+        mean, max_analytic, max_sampled, max_exact = summaries[config]
         reports.append(
             PermutationReport(
                 learner=config,
@@ -129,6 +132,7 @@ def evaluate_many(
                 expected_mistakes=mean,
                 max_mistakes=max_analytic,
                 expected_regret=mean - best,
+                max_exact_mistakes=max_exact,
                 max_mistakes_sampled=max_sampled,
             )
         )
@@ -140,26 +144,27 @@ def _stream_summaries(
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
-) -> list[tuple[float, float, float | None]]:
-    """(mean, max) of each distinct learner's per-ordering expected mistakes and its sampled maximum.
+) -> list[tuple[float, float, float | None, float]]:
+    """(mean, max) of each distinct learner's per-ordering expected mistakes, its sampled and its exact maximum.
 
     The sampled maximum is the realized one in sampled mode; in analytic mode
     it is the analytic maximum for a deterministic learner and None for a
-    randomized one.
+    randomized one. The exact maximum is the largest exact per-ordering
+    expectation, in either mode.
     """
     if stream.exhaustive:
-        expected, realized, randomized = run_exhaustive_many(configs, cls, stream, mode)
+        totals = run_exhaustive_many(configs, cls, stream, mode)
     else:
-        expected, realized, randomized = run_batch_many(configs, cls, stream.base, stream.orders(), mode)
+        totals = run_batch_many(configs, cls, stream.base, stream.blocks(), mode)
 
     summaries = []
-    for per_ordering, maxima, was_randomized in zip(expected, realized, randomized):
+    for per_ordering, exact, maxima, was_randomized in zip(*totals):
         max_analytic = float(per_ordering.max())
         if maxima.size:
             max_sampled: float | None = float(maxima.max())
         else:
             max_sampled = None if was_randomized else max_analytic
-        summaries.append((float(per_ordering.mean()), max_analytic, max_sampled))
+        summaries.append((float(per_ordering.mean()), max_analytic, max_sampled, float(exact.max())))
     return summaries
 
 
@@ -202,8 +207,9 @@ def check_bounds(report: PermutationReport, cls: FiniteHypothesisClass) -> list[
     T = report.case.T
     if report.case.kind == REALIZABLE:
         name, value = _realizable_bound(kind, cls, T)
-        # worst ordering must satisfy a realizable mistake bound, not just the mean
-        return [BoundVerdict(name, value, report.max_mistakes)]
+        # the worst ordering's exact expectation must satisfy a realizable mistake
+        # bound, not just the mean, and not a sampled mean of a few passes
+        return [BoundVerdict(name, value, report.max_exact_mistakes)]
     spec = _agnostic_bound(kind, cls, T)
     if spec is None:
         return []

@@ -16,8 +16,8 @@ with none. Its prediction is a function of that state and the instance:
 The version-space baselines raise WrongPhase once their space empties (the
 sequence is not realizable). Analytic mode accumulates the exact per-round
 mistake probability, so expectations over permutation streams need no Monte
-Carlo sampling; sampled mode draws the answers from a seeded generator and
-cross-checks the analytic numbers.
+Carlo sampling; sampled mode draws the answers from a seeded generator,
+one generator per ordering, through one routine, `sample_mistakes`.
 
 `_batch_p_one` advances many orderings of one sequence together, one round
 at a time, for several learners at once. No prediction changes the experts'
@@ -29,12 +29,15 @@ predicts 0 there and no expert's gap above its row's fewest mistakes moves;
 labeled 1, it still empties the version space. Mistake counts are integers,
 so the wm weights come from one table of exp(-eta * k) over the integer gaps
 k <= t above each row's fewest mistakes, with no exp per round. `run_batch_many`
-gives per-ordering totals of each learner over many orderings, and in sampled
+gives per-ordering totals of each learner over blocks of orderings, (B, T)
+position arrays such as `PermutationStream.blocks()` yields, and in sampled
 mode every learner reads the same draws of each ordering; `run_batch` is its
-one-learner case, and `run` the one-ordering case that keeps the per-round
-record. `run_exhaustive_many` gives the same totals over every ordering of an
-exhaustive stream from one table of predictions, one per (prefix type counts,
-next example type). All of them predict through one row rule, `_row_rule`.
+one-learner case over one block, and `run` the one-ordering case that keeps
+the per-round record. `run_exhaustive_many` gives the same totals over every
+ordering of an exhaustive stream from one table of predictions, one per
+(prefix type counts, next example type). All of them predict through one row
+rule, `_row_rule`. Every total holds each ordering's exact expected mistakes
+beside what the mode gives.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -123,47 +125,52 @@ class Sampled:
 
 ANALYTIC = Analytic()
 
-SAMPLE_BLOCK_DRAWS = 1 << 20  # uniform draws held in memory at once per sampled pass set
-# draws of several orderings' passes compared at once; far below SAMPLE_BLOCK_DRAWS,
-# so that grouping orderings does not raise the peak memory of long passes
-ORDERINGS_BLOCK_DRAWS = 1 << 16
+DRAW_BLOCK = 1 << 16  # uniform draws held in memory at once by `sample_mistakes`
 
 
 def sample_mistakes(
-    seed: int | tuple[int, ...],
+    seeds: list[int | tuple[int, ...]],
     trials: int,
     p_one: np.ndarray,
     truth: np.ndarray,
-    keep_trials: bool = True,
+    keep_trials: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(most mistakes in one pass, mistake frequency per round, mistakes per pass) of each learner's sampled passes.
+    """(most mistakes in one pass, mistake frequency per round, mistakes per pass) of sampled passes.
 
-    Row l of p_one, (L, T), is learner l's P(predict 1) per round. Round t of
-    each of `trials` passes predicts 1 with probability p_one[l, t] against
-    the true label truth[t]; every learner reads the same draws. Draws are
-    made in blocks of at most SAMPLE_BLOCK_DRAWS numbers (at least one pass);
-    the generator fills sequentially, so the result equals a single
-    (trials, T) draw. The results are (L,), (L, T) and (L, trials) arrays.
-    With keep_trials=False the per-trial mistakes are not kept (None), and
-    memory does not grow with `trials`.
+    p_one, (L, B, T), is each learner's P(predict 1) per round of B orderings
+    with true labels truth, (B, T). Ordering b draws its `trials` passes from
+    default_rng(seeds[b]), and every learner reads the same draws. A block of
+    at most DRAW_BLOCK draws, filled in place, holds the passes of
+    consecutive orderings or part of one ordering's passes (at least one
+    pass); the generator fills sequentially, so the result equals one
+    (trials, T) draw per ordering. The results are (L, B), (L, B, T) and
+    (L, B, trials) arrays; the last is None unless keep_trials, so memory
+    does not grow with `trials`.
     """
-    L, T = p_one.shape
-    rng = np.random.default_rng(seed)
-    rows = max(1, SAMPLE_BLOCK_DRAWS // max(T, 1))
-    trial_mistakes = np.empty((L, trials), dtype=np.int64) if keep_trials else None
-    most = np.zeros(L, dtype=np.int64)
-    wrong_per_round = np.zeros((L, T), dtype=np.int64)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        draws = rng.random((stop - start, T))
-        for i, p in enumerate(p_one):
-            wrong = (draws < p) != truth
-            per_trial = wrong.sum(axis=1)
-            most[i] = max(most[i], per_trial.max())
+    L, B, T = p_one.shape
+    rows = max(1, DRAW_BLOCK // max(T, 1))  # passes a block holds
+    passes = min(rows, trials)
+    orderings = max(1, rows // trials)
+    draws = np.empty((min(orderings, B), passes, T))
+    most = np.zeros((L, B), dtype=np.int64)
+    wrong_per_round = np.zeros((L, B, T))  # integer counts until the division
+    trial_mistakes = np.empty((L, B, trials), dtype=np.int64) if keep_trials else None
+    for start in range(0, B, orderings):
+        stop = min(start + orderings, B)
+        rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
+        for first in range(0, trials, passes):
+            last = min(first + passes, trials)
+            block = draws[: stop - start, : last - first]
+            for rng, out in zip(rngs, block):
+                rng.random(out=out)
+            wrong = (block < p_one[:, start:stop, None]) != truth[start:stop, None]  # (L, orderings, passes, T)
+            per_pass = wrong.sum(axis=3)
+            np.maximum(most[:, start:stop], per_pass.max(axis=2), out=most[:, start:stop])
+            wrong_per_round[:, start:stop] += wrong.sum(axis=2)
             if keep_trials:
-                trial_mistakes[i, start:stop] = per_trial
-            wrong_per_round[i] += wrong.sum(axis=0)
-    return most, wrong_per_round / trials, trial_mistakes
+                trial_mistakes[:, start:stop, first:last] = per_pass
+    wrong_per_round /= trials
+    return most, wrong_per_round, trial_mistakes
 
 
 @dataclass(frozen=True)
@@ -237,8 +244,10 @@ def run(
     analytic_probs = np.where(truth, 1.0 - p_ones, p_ones)
     trial_mistakes = None
     if isinstance(mode, Sampled):
-        _, round_probs, trial_mistakes = sample_mistakes(mode.seed, mode.trials, p_ones[None], truth)
-        round_probs, trial_mistakes = round_probs[0], trial_mistakes[0]
+        _, round_probs, trial_mistakes = sample_mistakes(
+            [mode.seed], mode.trials, p_ones[None, None], truth[None], keep_trials=True
+        )
+        round_probs, trial_mistakes = round_probs[0, 0], trial_mistakes[0, 0]
     else:
         round_probs = analytic_probs
 
@@ -289,13 +298,15 @@ def run_batch(
     Each ordering lists positions into `base`. For every ordering this gives
     what `run` gives on the reordered sequence: returns (expected mistakes per
     ordering, realized maximum over trials per ordering -- empty in analytic
-    mode --, whether any prediction was randomized). The iterable is consumed
-    once. Ordering k of it draws, in sampled mode, from the seed
+    mode --, whether any prediction was randomized). The orderings become one
+    block; ordering k of it draws, in sampled mode, from the seed
     mode.seed + (k,). An ordering that is not a permutation of range(T)
-    raises ValueError before any round of its batch. The one-learner case of
+    raises ValueError before any round. The one-learner case of
     `run_batch_many`.
     """
-    expected, realized, randomized = run_batch_many((config,), cls, base, orders, mode)
+    examples, orders = tuple(base), list(orders)
+    block = np.array(orders, dtype=np.intp).reshape(len(orders), len(examples))
+    expected, _, realized, randomized = run_batch_many((config,), cls, examples, [block], mode)
     return expected[0], realized[0], bool(randomized[0])
 
 
@@ -303,17 +314,21 @@ def run_batch_many(
     configs: tuple[LearnerConfig, ...],
     cls: FiniteHypothesisClass,
     base: Sequence,
-    orders: Iterable[Iterable[int]],
+    blocks: Iterable[np.ndarray],
     mode: Analytic | Sampled = ANALYTIC,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`run_batch` of each of the distinct `configs`, from one pass over the orderings.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`run_batch` of each of the distinct `configs`, from one pass over blocks of orderings.
 
-    Returns (expected mistakes, realized maxima), each (L, orderings), and
-    whether each learner randomized any prediction, (L,). The orderings go
-    through the round kernel in batches of max(1, sequences.BATCH_ORDERINGS // L),
-    read per call, so a batch's L (B, T) arrays of P(predict 1) are no larger
-    than one learner's batch of BATCH_ORDERINGS. The SOA rule depends only on
-    the version space, so every ordering reads the class's one Ldim memo.
+    Each block is a (B, T) int array whose rows are orderings, positions into
+    `base`; a block whose rows are not all permutations of range(T) raises
+    ValueError before any round of it. Returns (expected mistakes, exact
+    expected mistakes, realized maxima), each (L, orderings), and whether
+    each learner randomized any prediction, (L,). A block goes through the
+    round kernel in slices of max(1, sequences.BATCH_ORDERINGS // L) rows,
+    read per call, so a slice's L (B, T) arrays of P(predict 1) are no
+    larger than one learner's slice of BATCH_ORDERINGS. The SOA rule depends
+    only on the version space, so every ordering reads the class's one Ldim
+    memo.
     """
     examples = tuple(base)
     T = len(examples)
@@ -323,30 +338,18 @@ def run_batch_many(
 
     def batches():
         nonlocal randomized
-        orders_ = iter(orders)
-        while batch := list(islice(orders_, size)):
-            positions = np.array(batch, dtype=np.intp).reshape(len(batch), T)
-            if not (np.sort(positions, axis=1) == np.arange(T)).all():
+        for block in blocks:
+            if block.shape[1:] != (T,) or not (np.sort(block, axis=1) == np.arange(T)).all():
                 raise ValueError(f"every ordering must be a permutation of range({T})")
-            ys = truth[positions]
-            p_one, engine_rounds = _batch_p_one(configs, cls, cols[positions], ys)
-            # any wm-phase round or random halving tie, as `run` flags them per round
-            randomized = randomized | (engine_rounds < T).any(axis=1) | (p_one == 0.5).any(axis=(1, 2))
-            yield p_one, ys
+            for start in range(0, len(block), size):
+                positions = block[start : start + size]
+                ys = truth[positions]
+                p_one, engine_rounds = _batch_p_one(configs, cls, cols[positions], ys)
+                # any wm-phase round or random halving tie, as `run` flags them per round
+                randomized = randomized | (engine_rounds < T).any(axis=1) | (p_one == 0.5).any(axis=(1, 2))
+                yield p_one, ys
 
-    expected, realized = _totals(batches(), mode, len(configs))
-    return expected, realized, randomized
-
-
-def run_exhaustive(
-    config: LearnerConfig,
-    cls: FiniteHypothesisClass,
-    stream: PermutationStream,
-    mode: Analytic | Sampled = ANALYTIC,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """What `run_batch` gives over every ordering of an exhaustive stream: `run_exhaustive_many` of one learner."""
-    expected, realized, randomized = run_exhaustive_many((config,), cls, stream, mode)
-    return expected[0], realized[0], bool(randomized[0])
+    return *_totals(batches(), mode, len(configs)), randomized
 
 
 def run_exhaustive_many(
@@ -354,7 +357,7 @@ def run_exhaustive_many(
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What `run_batch_many` gives over every ordering of an exhaustive stream, in stream order.
 
     A learner sees an example only through its type, the pair (advice column,
@@ -397,63 +400,39 @@ def run_exhaustive_many(
             # take returns C order, so each ordering's rounds are summed in one contiguous run
             yield table.take((np.cumsum(steps, axis=1) - steps) * len(types) + kinds, axis=1), truth[positions]
 
-    expected, realized = _totals(batches(), mode, len(configs))
-    return expected, realized, randomized
+    return *_totals(batches(), mode, len(configs)), randomized
 
 
-def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """(expected mistakes, realized maximum -- empty in analytic mode), (L, orderings) each, of batches.
+def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(expected mistakes, exact expected mistakes, realized maxima), (L, orderings) each, of batches.
 
-    Each batch is (p_one, (L, B, T), ys, (B, T)). Ordering k overall is drawn,
-    in sampled mode, from mode.seed + (k,), once for all the learners.
+    Each batch is (p_one, (L, B, T), ys, (B, T)). An ordering's exact
+    expectation sums its rounds' mistake probabilities, and is its expected
+    mistakes in analytic mode, where the realized maxima are empty. In
+    sampled mode ordering k overall draws from mode.seed + (k,), once for all
+    the learners, and its expected mistakes add each round's mistake count /
+    trials over the rounds.
     """
-    expected, realized = [], []
+    expected, exact, realized = [], [], []
+    if isinstance(mode, Sampled):
+        seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
     index = 0
     for p_one, ys in batches:
+        exact.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
+        B = p_one.shape[1]
         if isinstance(mode, Sampled):
-            totals, maxima = _sampled_totals(mode, p_one, ys, index)
-            expected.append(totals)
+            maxima, round_probs, _ = sample_mistakes(
+                [seed + (index + k,) for k in range(B)], mode.trials, p_one, ys
+            )
+            expected.append(round_probs.sum(axis=2))
             realized.append(maxima)
-        else:
-            expected.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
-        index += p_one.shape[1]
+        index += B
+    exact = np.concatenate(exact, axis=1) if exact else np.empty((L, 0))
     return (
-        np.concatenate(expected, axis=1) if expected else np.empty((L, 0)),
+        np.concatenate(expected, axis=1) if expected else exact,
+        exact,
         np.concatenate(realized, axis=1) if realized else np.empty((L, 0), dtype=np.int64),
     )
-
-
-def _sampled_totals(mode: Sampled, p_one: np.ndarray, ys: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mean mistakes over the passes, most mistakes in one pass), (L, B) each, of a batch's orderings.
-
-    Ordering k of the batch draws from mode.seed + (first + k,). The passes of
-    consecutive orderings fill one block of at most ORDERINGS_BLOCK_DRAWS
-    draws, each ordering from its own generator, and the block is compared
-    and summed at once; an ordering whose passes outgrow a block goes alone
-    through `sample_mistakes`, which splits them into SAMPLE_BLOCK_DRAWS.
-    Either way a mean adds each round's mistake count / trials over the
-    rounds, so the two agree bit for bit.
-    """
-    L, B, T = p_one.shape
-    seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
-    totals, maxima = np.empty((L, B)), np.empty((L, B), dtype=np.int64)
-    per_block = ORDERINGS_BLOCK_DRAWS // max(mode.trials * T, 1)
-    if per_block == 0:
-        for k in range(B):
-            maxima[:, k], round_probs, _ = sample_mistakes(
-                seed + (first + k,), mode.trials, p_one[:, k], ys[k], keep_trials=False
-            )
-            totals[:, k] = round_probs.sum(axis=1)
-        return totals, maxima
-    for start in range(0, B, per_block):
-        stop = min(start + per_block, B)
-        draws = np.empty((stop - start, mode.trials, T))
-        for k in range(start, stop):
-            np.random.default_rng(seed + (first + k,)).random(out=draws[k - start])
-        wrong = (draws < p_one[:, start:stop, None]) != ys[start:stop, None]  # (L, orderings, trials, T)
-        maxima[:, start:stop] = wrong.sum(axis=3).max(axis=2)
-        totals[:, start:stop] = (wrong.sum(axis=2) / mode.trials).sum(axis=2)
-    return totals, maxima
 
 
 def _batch_p_one(

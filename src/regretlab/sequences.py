@@ -19,8 +19,9 @@ from .errors import FactorialCapExceeded
 from .hypotheses import FiniteHypothesisClass, Sequence
 
 EXHAUSTIVE_T_CAP = 9
-# orderings held at once: one block of an exhaustive stream, one batch of
-# `learners.run_batch`; bounds memory at T = 9 (9! orderings)
+# orderings held at once: the rows of one block of a stream, which
+# `learners.run_batch_many` slices among its learners; bounds memory at
+# T = 9 (9! orderings) and for long sampled streams
 BATCH_ORDERINGS = 1024
 
 REALIZABLE = "realizable"
@@ -78,11 +79,12 @@ def make_case_inputs(case: ExperimentCase) -> tuple[FiniteHypothesisClass, Seque
 
 @dataclass(frozen=True)
 class PermutationStream:
-    """A stream of reorderings of one base sequence.
+    """A stream of reorderings of one base sequence, read as blocks of positions.
 
     Exhaustive streams enumerate all T! orderings (lexicographic by original
     position) and are refused above T = EXHAUSTIVE_T_CAP. Sampled streams yield
-    `count` independent uniform shuffles, reproducible from the seed.
+    `count` independent uniform shuffles: ordering k is the k-th
+    `permutation(T)` drawn from `default_rng(seed)`.
     """
 
     base: Sequence
@@ -98,31 +100,24 @@ class PermutationStream:
         return math.factorial(self.base.T) if self.exhaustive else self.count
 
     def orders(self) -> Iterator[tuple[int, ...]]:
-        """Yield position orderings (indices into the base sequence).
-
-        An exhaustive stream yields the rows of `blocks()`, so both read one order.
-        """
-        if self.exhaustive:
-            for block in self.blocks():
-                yield from map(tuple, block.tolist())
-        else:
-            rng = np.random.default_rng(self.seed)
-            for _ in range(self.count):
-                yield tuple(rng.permutation(self.base.T).tolist())
+        """Yield position orderings (indices into the base sequence): the rows of `blocks()`."""
+        for block in self.blocks():
+            yield from map(tuple, block.tolist())
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """An exhaustive stream's orderings as (rows, T) position arrays, at most BATCH_ORDERINGS rows each.
+        """The orderings as (rows, T) intp position arrays, at most BATCH_ORDERINGS rows each.
 
-        The rows run in `itertools.permutations(range(T))` order: one block per
-        (T - L)-prefix, in lexicographic order, holding that prefix followed by
-        every ordering of the remaining positions, read from one lexicographic
-        table of the L! orderings of range(L), the largest L <= T with
-        L! <= BATCH_ORDERINGS. T above EXHAUSTIVE_T_CAP is refused here, when
-        called, before anything is built.
+        A sampled stream fills each row with its next draw. An exhaustive
+        stream's rows run in `itertools.permutations(range(T))` order: one
+        block per (T - L)-prefix, in lexicographic order, holding that prefix
+        followed by every ordering of the remaining positions, read from one
+        lexicographic table of the L! orderings of range(L), the largest
+        L <= T with L! <= BATCH_ORDERINGS. T above EXHAUSTIVE_T_CAP is refused
+        here, when called, before anything is built.
         """
-        if not self.exhaustive:
-            raise ValueError("only exhaustive streams come in blocks")
         T = self.base.T
+        if not self.exhaustive:
+            return _shuffled_blocks(T, self.count, self.seed)
         if T > EXHAUSTIVE_T_CAP:
             raise FactorialCapExceeded(
                 f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}"
@@ -131,6 +126,16 @@ class PermutationStream:
         while L < T and math.factorial(L + 1) <= BATCH_ORDERINGS:
             L += 1
         return _permutation_blocks(T, L)
+
+
+def _shuffled_blocks(T: int, count: int, seed: int | tuple[int, ...]) -> Iterator[np.ndarray]:
+    """`count` draws of `permutation(T)` from one `default_rng(seed)`, BATCH_ORDERINGS rows a block."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, BATCH_ORDERINGS):
+        block = np.empty((min(BATCH_ORDERINGS, count - start), T), dtype=np.intp)
+        for row in block:
+            row[:] = rng.permutation(T)
+        yield block
 
 
 def _permutation_blocks(T: int, L: int) -> Iterator[np.ndarray]:

@@ -19,7 +19,7 @@ SOA or kernel code with `run` and `run_batch`; `per_ordering_values` runs it
 once per ordering to cross-check `run_batch`.
 
 The exhaustive-stream oracle, `exhaustive_reference`, is the enumeration the
-prediction table of `run_exhaustive` replaced: `run_batch` over
+prediction table of `run_exhaustive_many` replaced: `run_batch` over
 `itertools.permutations`, aggregated as `evaluate` reports it.
 """
 
@@ -252,15 +252,17 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
 
 
 def exhaustive_reference(config, cls: FiniteHypothesisClass, base: Sequence, mode=ANALYTIC):
-    """(mean expected mistakes, max expected mistakes, max sampled mistakes) over every ordering.
+    """(mean and max expected mistakes, max sampled mistakes, max exact expected mistakes) over every ordering.
 
     Runs `run_batch` on all T! orderings of `base` in `itertools.permutations`
     order. The sampled maximum is the realized one in sampled mode, else the
     analytic maximum for a deterministic learner and None for a randomized one.
+    The exact maximum is the analytic run's maximum, in either mode.
     """
     expected, realized, randomized = run_batch(config, cls, base, permutations(range(base.T)), mode)
     if realized.size:
         sampled = float(realized.max())
     else:
         sampled = None if randomized else float(expected.max())
-    return float(expected.mean()), float(expected.max()), sampled
+    exact = run_batch(config, cls, base, permutations(range(base.T)))[0] if realized.size else expected
+    return float(expected.mean()), float(expected.max()), sampled, float(exact.max())

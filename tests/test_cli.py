@@ -188,6 +188,17 @@ def test_sampled_prediction_mode(capsys):
     sampled = row[header.index("max_mistakes_sampled")]
     assert sampled != "" and float(sampled) == int(float(sampled))  # realized integer max
 
+    # a realizable verdict reads the worst ordering's exact expectation in either mode,
+    # not the largest mean of a few sampled passes (2.67 here, above the bound 2.20)
+    argv = "--case realizable --T 7 --d 4 --learners wm --perm exhaustive --seed 5 --format json".split()
+    observed = []
+    for mode in ([], ["--mode", "sampled:3"]):
+        code, out, err = run_argv([*argv, *mode], capsys)
+        assert code == 0, err
+        (row,) = json.loads(out)["reports"]
+        observed.append(row["bound_observed"])
+    assert observed[1] == observed[0] < row["max_mistakes"]
+
 
 def test_json_format(capsys):
     code, out, _ = run_argv(
@@ -229,6 +240,12 @@ GOLDEN = Path(__file__).parent / "golden"
             "unrealizable_T1000_d500_wm.json",
             "--case unrealizable --T 1000 --d 500 --learners wm,wm_halving --eta-variant sqrt2"
             " --perm sampled:8 --mode sampled:5 --seed 7",
+        ),
+        # 3 learners over one 1,024-row stream block: the kernel slices it 341 rows at a time
+        (
+            "unrealizable_T64_d32_sampled1100.json",
+            "--case unrealizable --T 64 --d 32 --learners wm,wm_halving,wm_soa --perm sampled:1100"
+            " --mode sampled:2 --seed 4 --eta-variant sqrt2",
         ),
     ],
 )

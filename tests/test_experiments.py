@@ -290,7 +290,7 @@ def test_evaluate_many_equals_evaluate_of_each(inputs, configs, mode, block_rows
     case = ExperimentCase("realizable", max(base.T, cls.d), cls.d)  # carried into the reports only
     with (
         mock.patch.object(experiments, "make_case_inputs", lambda _: (cls, base)),
-        # exhaustive blocks, and sampled batches shrunk per learner
+        # the stream's blocks, exhaustive or sampled, and the kernel's slices of them per learner
         mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows),
     ):
         assert_many_matches_each(configs, case, stream, mode)

@@ -372,16 +372,16 @@ def test_expected_mistakes_within_horizon(case):
 
 
 def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, all_ones8):
-    monkeypatch.setattr(learners, "SAMPLE_BLOCK_DRAWS", 5 * len(all_ones8))  # 5 passes a block
+    monkeypatch.setattr(learners, "DRAW_BLOCK", 5 * len(all_ones8))  # 5 passes a block
     trace = run(LearnerConfig("wm"), threshold8, all_ones8, Sampled(seed=3, trials=23))
     p_one = np.array([r.p_one for r in trace.rounds])
     truth = np.array([r.y == 1 for r in trace.rounds])
     wrong = (np.random.default_rng(3).random((23, len(all_ones8))) < p_one) != truth
     assert trace.trial_mistakes.tolist() == wrong.sum(axis=1).tolist()
     assert [r.mistake_prob for r in trace.rounds] == wrong.mean(axis=0).tolist()
-    most, round_probs, trials = learners.sample_mistakes(3, 23, p_one[None], truth, keep_trials=False)
-    assert (most.tolist(), trials) == ([wrong.sum(axis=1).max()], None)
-    assert round_probs.tolist() == [wrong.mean(axis=0).tolist()]
+    most, round_probs, trials = learners.sample_mistakes([3], 23, p_one[None, None], truth[None])
+    assert (most.tolist(), trials) == ([[wrong.sum(axis=1).max()]], None)
+    assert round_probs.tolist() == [[wrong.mean(axis=0).tolist()]]
 
 
 # --- batched kernel ---------------------------------------------------------------
@@ -584,7 +584,7 @@ def test_row_rule_runs_only_on_rounds_off_blank_columns(monkeypatch, case_kind):
     rng = np.random.default_rng(1)
     orders = [rng.permutation(base.T).tolist() for _ in range(5)]
     configs = (LearnerConfig("wm"), LearnerConfig("wm_halving"))
-    learners.run_batch_many(configs, cls, base, orders)
+    learners.run_batch_many(configs, cls, base, [np.array(orders)])
     assert calls == [5] * 64
 
 
@@ -594,34 +594,45 @@ def test_batch_refuses_orderings_that_are_not_permutations(monkeypatch, threshol
     for order in ([0, 0, 0, 0], [-1, 0, 1, 2], [0, 1, 2, 9]):
         with pytest.raises(ValueError, match="permutation"):
             run_batch(LearnerConfig("wm"), threshold8, base, [order])
+        block = np.array([range(4), order])
         with pytest.raises(ValueError, match="permutation"):
-            learners.run_batch_many((LearnerConfig("wm_halving"),), threshold8, base, [range(4), order])
+            learners.run_batch_many((LearnerConfig("wm_halving"),), threshold8, base, [block])
 
 
 def test_sampled_orderings_share_draw_blocks(monkeypatch, threshold8, all_ones8):
-    # blocks of every ordering of a batch, of four and of one, and single orderings whose
-    # passes split into blocks of one; kernel batches of 4 orderings, so a batch's first
-    # ordering is not ordering 0
+    # draw blocks of every ordering of a kernel slice, of four and of one, and single
+    # orderings whose passes split into blocks of one; kernel slices of 4 orderings, so a
+    # slice's first ordering is not ordering 0
     monkeypatch.setattr(sequences, "BATCH_ORDERINGS", 8)
     rng = np.random.default_rng(2)
     orders = [rng.permutation(8).tolist() for _ in range(9)]
     configs = (LearnerConfig("wm"), LearnerConfig("wm_halving", tie_break="random"))
     mode = Sampled((4, 1), trials=3)
-    alone, sample_mistakes = [], learners.sample_mistakes
+    events, default_rng = [], np.random.default_rng
 
-    def counting_sample_mistakes(*args, **kwargs):
-        alone.append(1)
-        return sample_mistakes(*args, **kwargs)
+    class RecordingGenerator:
+        """A generator that logs its creation and the passes of each fill."""
 
-    monkeypatch.setattr(learners, "sample_mistakes", counting_sample_mistakes)
-    for block, passes, orderings_alone in (
-        (1 << 16, 1 << 20, 0), (4 * 3 * 8, 1 << 20, 0), (3 * 8, 1 << 20, 0), (3 * 8 - 1, 8, 9)
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+            events.append("new")
+
+        def random(self, out):
+            events.append(len(out))
+            return self.rng.random(out=out)
+
+    four_one = (["new"] * 4 + [3] * 4) * 2 + ["new", 3]
+    for draw_block, fills in (
+        (1 << 16, four_one), (4 * 3 * 8, four_one), (3 * 8, ["new", 3] * 9), (8, ["new", 1, 1, 1] * 9)
     ):
-        monkeypatch.setattr(learners, "ORDERINGS_BLOCK_DRAWS", block)
-        monkeypatch.setattr(learners, "SAMPLE_BLOCK_DRAWS", passes)
-        alone.clear()
-        expected, realized, _ = learners.run_batch_many(configs, threshold8, all_ones8, orders, mode)
-        assert len(alone) == orderings_alone
+        monkeypatch.setattr(learners, "DRAW_BLOCK", draw_block)
+        events.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", RecordingGenerator)
+            expected, _, realized, _ = learners.run_batch_many(
+                configs, threshold8, all_ones8, [np.array(orders)], mode
+            )
+        assert events == fills
         for k, order in enumerate(orders):
             seq = seq_of(all_ones8.examples[i] for i in order)
             for l, config in enumerate(configs):
@@ -658,7 +669,8 @@ def test_batch_kernel_across_batches(monkeypatch, threshold8, realizable8, all_o
 
 
 def test_multi_learner_batches_hold_batch_orderings_over_learner_count(monkeypatch, threshold8, all_ones8):
-    # L learners hold L (B, T) arrays, so a batch takes max(1, BATCH_ORDERINGS // L) orderings
+    # L learners hold L (B, T) arrays, so a kernel slice of a block takes
+    # max(1, BATCH_ORDERINGS // L) orderings
     monkeypatch.setattr(sequences, "BATCH_ORDERINGS", 7)
     rows, batch_p_one = [], learners._batch_p_one
 
@@ -669,8 +681,8 @@ def test_multi_learner_batches_hold_batch_orderings_over_learner_count(monkeypat
     monkeypatch.setattr(learners, "_batch_p_one", spy)
     orders = [tuple(range(8))] * 9
     configs = tuple(LearnerConfig(kind) for kind in ("wm", "wm_halving", "wm_soa"))
-    learners.run_batch_many(configs, threshold8, all_ones8, orders)
-    learners.run_batch_many(configs * 3, threshold8, all_ones8, orders)
+    learners.run_batch_many(configs, threshold8, all_ones8, [np.array(orders)])
+    learners.run_batch_many(configs * 3, threshold8, all_ones8, [np.array(orders)])
     assert rows == [2, 2, 2, 2, 1] + [1] * 9
 
 

@@ -158,20 +158,23 @@ def test_exhaustive_blocks_follow_itertools_order(T):
     assert next(want, None) is None
 
 
+@pytest.mark.parametrize("exhaustive", [True, False])
 @pytest.mark.parametrize("max_rows", [1, 5, 7, 120])
-def test_orders_are_the_rows_of_the_blocks(monkeypatch, max_rows):
+def test_orders_are_the_rows_of_the_blocks(monkeypatch, max_rows, exhaustive):
+    # 13 sampled orderings cross every block boundary but the largest
     monkeypatch.setattr(sequences, "BATCH_ORDERINGS", max_rows)
-    stream = PermutationStream(label_sequence(ExperimentCase("realizable", 5, 1), make_domain(5)))
+    seq = label_sequence(ExperimentCase("realizable", 5, 1), make_domain(5))
+    stream = PermutationStream(seq, exhaustive=exhaustive, count=13, seed=9)
     blocks = list(stream.blocks())
     assert max(len(block) for block in blocks) <= max_rows
+    assert all(block.dtype == np.intp and block.shape[1] == 5 for block in blocks)
     rows = [tuple(row) for block in blocks for row in block.tolist()]
-    assert rows == list(stream.orders()) == list(itertools.permutations(range(5)))
-
-
-def test_blocks_refuse_sampled_streams():
-    seq = label_sequence(ExperimentCase("realizable", 4, 2), make_domain(4))
-    with pytest.raises(ValueError):
-        PermutationStream(seq, exhaustive=False, count=3).blocks()
+    if exhaustive:
+        want = list(itertools.permutations(range(5)))
+    else:
+        rng = np.random.default_rng(9)
+        want = [tuple(rng.permutation(5).tolist()) for _ in range(13)]
+    assert rows == list(stream.orders()) == want
 
 
 def test_factorial_cap():
@@ -193,16 +196,21 @@ def test_sampled_stream_reproducible():
     assert len(a) == 30
 
 
+@pytest.mark.parametrize(("max_rows", "lengths"), [(1, [1] * 4), (3, [3, 1]), (BATCH_ORDERINGS, [4])])
 @pytest.mark.parametrize("seed", [9, (7, 0)])
-def test_sampled_orders_follow_the_seeding_contract(seed):
-    # ordering k is the k-th permutation drawn from default_rng(seed), as Python ints
+def test_sampled_orders_follow_the_seeding_contract(monkeypatch, seed, max_rows, lengths):
+    # ordering k is the k-th permutation drawn from default_rng(seed), as Python ints,
+    # wherever the block boundaries fall
+    monkeypatch.setattr(sequences, "BATCH_ORDERINGS", max_rows)
     T, count = 50, 4
     seq = label_sequence(ExperimentCase("realizable", T, 4), make_domain(T))
     rng = np.random.default_rng(seed)
     want = [tuple(int(i) for i in rng.permutation(T)) for _ in range(count)]
-    got = list(PermutationStream(seq, exhaustive=False, count=count, seed=seed).orders())
+    stream = PermutationStream(seq, exhaustive=False, count=count, seed=seed)
+    got = list(stream.orders())
     assert got == want
     assert all(type(i) is int for order in got for i in order)
+    assert [len(block) for block in stream.blocks()] == lengths
 
 
 def test_sampled_stream_count_validation():
