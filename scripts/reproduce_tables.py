@@ -5,8 +5,9 @@ Runs the wm, wm_halving and wm_soa learners over:
   * exhaustive permutations of the T=8, d=4 case (realizable and unrealizable)
   * 100 sampled permutations of the T=1000, d=500 case (both kinds)
 
-The three learners of a case come from one `evaluate_many` call, one pass
-over its stream, and wm is compared with each hybrid in turn. Writes
+Each case's class is built once. Its three learners come from one
+`evaluate_many` call on that class, one pass over its stream, and the same
+class checks their bounds; wm is compared with each hybrid in turn. Writes
 one CSV per case and comparison, NAME.csv for (wm, wm_halving) and
 NAME_wm_soa.csv for (wm, wm_soa), plus a combined markdown summary with one
 two-learner table, Diff column included, per CSV. The sqrt2 learning rate is
@@ -64,7 +65,7 @@ def main() -> int:
         )
         configs = [LearnerConfig(kind, eta_variant=args.eta_variant) for kind in LEARNERS]
         t0 = time.perf_counter()
-        reports = dict(zip(LEARNERS, (with_bounds(r, cls) for r in evaluate_many(configs, case, stream))))
+        reports = dict(zip(LEARNERS, (with_bounds(r, cls) for r in evaluate_many(configs, cls, stream))))
         seconds = time.perf_counter() - t0
 
         for suffix, hybrid in PAIRS:

@@ -225,15 +225,12 @@ def _run_command(args: argparse.Namespace) -> int:
     # an unwritable --out fails here, before any class is built or learner run
     out = open(config.out, "w", newline="") if config.out else nullcontext(sys.stdout)
     with out as fh:
-        case = ExperimentCase(config.case, config.T, config.d)
-        cls, base = make_case_inputs(case)
-        stream = PermutationStream(
-            base, exhaustive=not orderings, count=orderings, seed=(config.seed, 0)
-        )
+        cls, base = make_case_inputs(ExperimentCase(config.case, config.T, config.d))
+        stream = PermutationStream(base, exhaustive=not orderings, count=orderings, seed=(config.seed, 0))
         mode = Sampled((config.seed, 1), trials) if trials else ANALYTIC
 
         learners = [LearnerConfig(kind, eta_variant=config.eta_variant) for kind in config.learners]
-        reports = evaluate_many(learners, case, stream, mode=mode)
+        reports = evaluate_many(learners, cls, stream, mode=mode)
         if config.check_bounds:
             for report in reports:
                 with_bounds(report, cls)

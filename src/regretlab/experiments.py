@@ -1,23 +1,23 @@
 """Permutation harness: drive learners over reorderings, aggregate, check bounds.
 
-`evaluate_many` gives one report per learner from one pass over the stream
-for all of them: the class is built once, and every learner shares each
-ordering's mistake counts, version space and switch round, its wm rows and,
-in sampled mode, its draws. `evaluate` is its one-learner case. The
-orderings of a sampled stream run as the stream's blocks through
-`learners.run_batch_many`, which advances every ordering of a block
-together, round by round, from a fresh learner state; there is no learner
-object per ordering. An exhaustive stream runs through
-`learners.run_exhaustive_many`, which predicts once per (prefix type counts,
-next example type) and reads every ordering's rounds from that table, with
-the same per-ordering values. An ordering's expected mistakes are exact in
-analytic mode and the mean over its sampled passes in sampled mode; a report
-gives their mean and maximum over the orderings, so exhaustive analytic runs
-are exactly reproducible. The most mistakes in one sampled pass is reported
-alongside, because the two readings of a "max mistakes" column differ for
-randomized learners. The largest exact per-ordering expectation is kept in
-both modes, for the realizable bound checks.
-Every stream runs in this process.
+A run is a hypothesis class and a stream of reorderings of one base
+sequence. `evaluate_many` gives one report per learner from one pass over
+the stream for all of them: the learners share each ordering's mistake
+counts, version space, switch round, wm rows and, in sampled mode, draws.
+A sampled stream's blocks run through `learners.run_batch_many`, every
+ordering of a block together, round by round, from a fresh learner state;
+an exhaustive stream runs through `learners.run_exhaustive_many`, which
+predicts once per (prefix type counts, next example type) and reads every
+ordering's rounds from that table. An ordering's expected mistakes are exact
+in analytic mode and the mean over its sampled passes in sampled mode; a
+report gives their mean and maximum over the orderings, the most mistakes in
+one sampled pass (the two readings of "max mistakes" differ for randomized
+learners), and the largest exact per-ordering expectation in both modes. A
+report is realizable when some hypothesis answers the whole base sequence,
+M(h*) = 0: its worst exact expectation is checked against the learner's
+mistake bound, any other report's expected regret against its regret bound.
+`evaluate` is the one-learner call for a benchmark case, whose class it
+builds. Every stream runs in this process.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from .learners import (
 # Not called here: kept as the attribute perfbench/spans.py wraps until its spans wrap run_batch_many.
 from .learners import run  # noqa: F401
 from .ldim import ldim
-from .sequences import (
-    REALIZABLE,
-    ExperimentCase,
-    PermutationStream,
-    make_case_inputs,
-)
+from .sequences import ExperimentCase, PermutationStream, make_case_inputs
 
 BOUND_TOLERANCE = 1e-9
 
@@ -68,7 +63,8 @@ class PermutationReport:
     """Aggregates for one learner over one permutation stream."""
 
     learner: LearnerConfig
-    case: ExperimentCase
+    T: int
+    d: int
     permutation_count: int
     best_mistakes: int
     expected_mistakes: float
@@ -80,9 +76,14 @@ class PermutationReport:
     bounds: tuple[BoundVerdict, ...] = ()
 
     @property
+    def realizable(self) -> bool:
+        """Whether some hypothesis answers the whole sequence, M(h*) = 0."""
+        return self.best_mistakes == 0
+
+    @property
     def max_regret(self) -> float:
-        """Worst per-permutation regret; used for per-run bound checks."""
-        return self.max_mistakes - self.best_mistakes
+        """The worst ordering's exact expected regret, in either mode."""
+        return self.max_exact_mistakes - self.best_mistakes
 
 
 def evaluate(
@@ -91,42 +92,45 @@ def evaluate(
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
 ) -> PermutationReport:
-    """Run the learner from a fresh state on every ordering in the stream and aggregate.
+    """Run the learner on every ordering of a benchmark case's stream and aggregate.
 
-    The one-learner case of `evaluate_many`.
+    Builds the case's class once; a stream over another base sequence raises
+    ValueError. The one-learner case of `evaluate_many`.
     """
-    return evaluate_many((config,), case, stream, mode)[0]
+    cls, base = make_case_inputs(case)
+    if stream.base.examples != base.examples:
+        raise ValueError("stream base sequence does not match the case")
+    return evaluate_many((config,), cls, stream, mode)[0]
 
 
 def evaluate_many(
     configs: Iterable[LearnerConfig],
-    case: ExperimentCase,
+    cls: FiniteHypothesisClass,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
 ) -> list[PermutationReport]:
-    """`evaluate` of each learner, in order, from one pass over the stream for all of them.
+    """One report per learner, in order, from one pass over the stream for all of them.
 
-    Each report equals the learner's own `evaluate` report: no prediction
-    changes the experts' mistake counts, so the learners share every
-    ordering's version space and switch round, and ordering k draws from
-    mode.seed + (k,) whoever reads it. A repeated config is computed once and
-    reported again. A baseline raises WrongPhase when its space empties, as
-    it does alone.
+    Each report equals the learner's own report: no prediction changes the
+    experts' mistake counts, so the learners share every ordering's version
+    space and switch round, and ordering k draws from mode.seed + (k,)
+    whoever reads it. A repeated config is computed once and reported again.
+    A baseline raises WrongPhase when its space empties, as it does alone.
+    An instance of the base sequence outside the class's domain raises
+    UnknownInstance before any learner runs.
     """
     configs = tuple(configs)
-    cls, base = make_case_inputs(case)
-    if stream.base.examples != base.examples:
-        raise ValueError("stream base sequence does not match the case")
+    best, _ = best_mistakes(mistake_profile(cls, stream.base))
     distinct = tuple(dict.fromkeys(configs))
     summaries = dict(zip(distinct, _stream_summaries(distinct, cls, stream, mode)))
-    best, _ = best_mistakes(mistake_profile(cls, base))
     reports = []
     for config in configs:
         mean, max_analytic, max_sampled, max_exact = summaries[config]
         reports.append(
             PermutationReport(
                 learner=config,
-                case=case,
+                T=stream.base.T,
+                d=cls.d,
                 permutation_count=len(stream),
                 best_mistakes=best,
                 expected_mistakes=mean,
@@ -202,15 +206,14 @@ def _agnostic_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str,
 
 
 def check_bounds(report: PermutationReport, cls: FiniteHypothesisClass) -> list[BoundVerdict]:
-    """Verdicts for the bound matching the report's case kind and learner."""
+    """Verdicts for the learner's mistake bound if the report is realizable, else its regret bound."""
     kind = report.learner.kind
-    T = report.case.T
-    if report.case.kind == REALIZABLE:
-        name, value = _realizable_bound(kind, cls, T)
+    if report.realizable:
+        name, value = _realizable_bound(kind, cls, report.T)
         # the worst ordering's exact expectation must satisfy a realizable mistake
         # bound, not just the mean, and not a sampled mean of a few passes
         return [BoundVerdict(name, value, report.max_exact_mistakes)]
-    spec = _agnostic_bound(kind, cls, T)
+    spec = _agnostic_bound(kind, cls, report.T)
     if spec is None:
         return []
     name, value = spec
@@ -241,7 +244,7 @@ CSV_COLUMNS = (
 
 
 def _diff_metric(report: PermutationReport) -> float:
-    if report.case.kind == REALIZABLE:
+    if report.realizable:
         return report.max_mistakes
     return report.expected_regret
 
@@ -253,9 +256,9 @@ def _report_row(report: PermutationReport, first: PermutationReport | None) -> d
     verdict = report.bounds[0] if report.bounds else None
     return {
         "learner": report.learner.kind,
-        "T": report.case.T,
+        "T": report.T,
         "permutations": report.permutation_count,
-        "|H|": report.case.d,
+        "|H|": report.d,
         "M(h*)": report.best_mistakes,
         "expected_mistakes": report.expected_mistakes,
         "max_mistakes": report.max_mistakes,
@@ -304,14 +307,13 @@ def emit_report(reports: list[PermutationReport], fmt: str = "csv") -> str:
 
 
 def _markdown(reports: list[PermutationReport]) -> str:
-    """Wide per-case table mirroring the benchmark table layout."""
-    by_case: dict[ExperimentCase, list[PermutationReport]] = {}
+    """Wide table per (T, |H|, realizable) run, mirroring the benchmark table layout."""
+    by_run: dict[tuple[int, int, bool], list[PermutationReport]] = {}
     for r in reports:
-        by_case.setdefault(r.case, []).append(r)
+        by_run.setdefault((r.T, r.d, r.realizable), []).append(r)
 
     out: list[str] = []
-    for case, group in by_case.items():
-        realizable = case.kind == REALIZABLE
+    for (T, d, realizable), group in by_run.items():
         header = ["T", "Permutations", "|H|", "M(h*)"]
         for r in group:
             if realizable:
@@ -320,7 +322,7 @@ def _markdown(reports: list[PermutationReport]) -> str:
                 header += [f"{r.learner.kind} expected regret"]
         if len(group) == 2:
             header.append("Diff")
-        row = [str(case.T), str(group[0].permutation_count), str(case.d), str(group[0].best_mistakes)]
+        row = [str(T), str(group[0].permutation_count), str(d), str(group[0].best_mistakes)]
         for r in group:
             if realizable:
                 row += [f"{r.expected_mistakes:.2f}", f"{r.max_mistakes:.2f}"]

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from regretlab import cli
+from regretlab import cli, sequences
 from regretlab.cli import MAX_COUNT, MAX_T, ExperimentConfig, build_parser, run_cli
 
 TABLE_CSV_REALIZABLE = (
@@ -579,3 +580,37 @@ def test_sampled_run_imports_no_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 []\n"
     assert (tmp_path / "r.csv").read_text().startswith("learner,T,")
+
+
+@pytest.fixture
+def class_builds(monkeypatch):
+    """The d of every threshold class built while the test runs."""
+    builds = []
+    build = sequences.make_threshold_class
+
+    def counted(d, domain):
+        builds.append(d)
+        return build(d, domain)
+
+    monkeypatch.setattr(sequences, "make_threshold_class", counted)
+    return builds
+
+
+@pytest.mark.parametrize("perm", ["exhaustive", "sampled:5"])
+def test_run_builds_one_class(capsys, class_builds, perm):
+    # the same class runs the learners and checks their bounds
+    argv = ["run", "--T", "7", "--d", "4", "--learners", "wm,wm_halving,wm_soa,soa", "--perm", perm]
+    code, out, _ = run_argv(argv, capsys)
+    assert code == 0 and out.startswith("learner,T,")
+    assert class_builds == [4]
+
+
+def test_reproduce_tables_builds_one_class_per_case(capsys, class_builds, monkeypatch, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+    spec = importlib.util.spec_from_file_location("reproduce_tables", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path)])
+    assert script.main() == 0
+    assert class_builds == [case.d for _, case, _, _ in script.RUNS] == [4, 4, 500, 500]
+    assert len(list(tmp_path.glob("*.csv"))) == 8

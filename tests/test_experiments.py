@@ -17,6 +17,7 @@ from regretlab import (
     LearnerConfig,
     PermutationStream,
     Sampled,
+    UnknownInstance,
     UnsupportedFormat,
     WrongPhase,
     check_bounds,
@@ -219,6 +220,66 @@ def test_stream_must_match_case():
         evaluate(LearnerConfig("wm"), other, stream)
 
 
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+def test_instance_outside_the_domain_raises_before_any_learner_runs(exhaustive):
+    cls, base = make_case_inputs(ExperimentCase("realizable", 6, 3))
+    stream = PermutationStream(seq_of([*base.examples[:-1], (99, 1)]), exhaustive=exhaustive, count=4)
+
+    def no_learner(*args):
+        raise AssertionError("a learner ran")
+
+    with mock.patch("regretlab.learners._row_rule", no_learner), pytest.raises(UnknownInstance):
+        evaluate_many([LearnerConfig("wm"), LearnerConfig("wm_soa")], cls, stream)
+
+
+@st.composite
+def class_and_labeled_sequence(draw):
+    """A random class (no threshold structure), a sequence over its domain, and whether a member labels it."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    cls = make_class(np.array(draw(st.lists(st.integers(0, 1), min_size=d * n, max_size=d * n))).reshape(d, n))
+    xs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    by_member = draw(st.booleans())
+    if by_member:
+        target = draw(st.integers(0, d - 1))
+        ys = [int(cls.table[target, x]) for x in xs]
+    else:
+        ys = draw(st.lists(st.integers(0, 1), min_size=len(xs), max_size=len(xs)))
+    return cls, seq_of(zip(xs, ys)), by_member
+
+
+@given(inputs=class_and_labeled_sequence(), mode=st.sampled_from((ANALYTIC, Sampled(4, 2))))
+@settings(max_examples=80, deadline=None)
+def test_verdict_kind_follows_the_best_hypothesis(inputs, mode):
+    # realizable iff some member makes no mistake on the sequence, counted here by hand
+    cls, base, by_member = inputs
+    best = min(sum(int(cls.table[i, x]) != y for x, y in base) for i in range(cls.d))
+    stream = PermutationStream(base, exhaustive=base.T <= 4, count=3, seed=(1, 0))
+    for report in evaluate_many([LearnerConfig("wm"), LearnerConfig("wm_halving")], cls, stream, mode):
+        assert (report.T, report.d, report.best_mistakes) == (base.T, cls.d, best)
+        assert report.realizable == (best == 0)
+        if by_member:
+            assert report.realizable
+        (verdict,) = check_bounds(report, cls)
+        if report.realizable:
+            assert "mistakes <=" in verdict.name and "regret" not in verdict.name
+            assert verdict.observed == report.max_exact_mistakes
+        else:
+            assert verdict.name.startswith("expected regret <=")
+            assert verdict.observed == report.expected_regret
+
+
+def test_threshold_cases_are_realizable_as_their_kind_says():
+    # every d for short horizons, then its ends and middle, up to T = 120
+    wm = LearnerConfig("wm")
+    for T in range(1, 121):
+        for d in range(1, T + 1) if T <= 16 else (1, 2, T // 2, T - 1, T):
+            for kind in ("realizable", "unrealizable"):
+                cls, base = make_case_inputs(ExperimentCase(kind, T, d))
+                (report,) = evaluate_many([wm], cls, PermutationStream(base, exhaustive=False, count=1))
+                assert report.realizable == (kind == "realizable"), (kind, T, d)
+
+
 # --- one pass for many learners ----------------------------------------------------
 
 
@@ -255,15 +316,15 @@ learner_lists = st.lists(
 )
 
 
-def assert_many_matches_each(configs, case, stream, mode):
-    """evaluate_many equals evaluate of each config, field by field with ==, or both raise WrongPhase."""
+def assert_many_matches_each(configs, cls, stream, mode):
+    """evaluate_many equals its one-learner call of each config, field by field with ==, or both raise WrongPhase."""
     try:
-        want = [evaluate(config, case, stream, mode) for config in configs]
+        want = [evaluate_many((config,), cls, stream, mode)[0] for config in configs]
     except WrongPhase:
         with pytest.raises(WrongPhase):
-            evaluate_many(configs, case, stream, mode)
+            evaluate_many(configs, cls, stream, mode)
         return
-    assert evaluate_many(configs, case, stream, mode) == want
+    assert evaluate_many(configs, cls, stream, mode) == want
 
 
 @given(
@@ -287,15 +348,11 @@ def test_evaluate_many_equals_evaluate_of_each(inputs, configs, mode, block_rows
     # without the baselines too, which would raise WrongPhase on most unrealizable sequences
     online = [config for config in configs if config.kind not in BASELINE_KINDS]
     stream = PermutationStream(base, exhaustive=count is None, count=count or 0, seed=(3, 0))
-    case = ExperimentCase("realizable", max(base.T, cls.d), cls.d)  # carried into the reports only
-    with (
-        mock.patch.object(experiments, "make_case_inputs", lambda _: (cls, base)),
-        # the stream's blocks, exhaustive or sampled, and the kernel's slices of them per learner
-        mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows),
-    ):
-        assert_many_matches_each(configs, case, stream, mode)
+    # the stream's blocks, exhaustive or sampled, and the kernel's slices of them per learner
+    with mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows):
+        assert_many_matches_each(configs, cls, stream, mode)
         if online and online != configs:
-            assert_many_matches_each(online, case, stream, mode)
+            assert_many_matches_each(online, cls, stream, mode)
 
 
 @pytest.mark.parametrize("kind", ["realizable", "unrealizable"])
@@ -304,9 +361,9 @@ def test_evaluate_many_equals_evaluate_of_each_at_paper_small_scale(kind):
     case, cls, stream = small_stream(kind)
     kinds = LEARNER_KINDS if kind == "realizable" else ("wm", "wm_consistent", "wm_halving", "wm_soa")
     configs = [LearnerConfig(k, eta_variant="sqrt2", tie_break="random") for k in kinds]
-    assert_many_matches_each(configs, case, stream, ANALYTIC)
-    sampled_case, _, sampled = small_stream(kind, T=40, d=12, exhaustive=False, count=30, seed=(5, 0))
-    assert_many_matches_each(configs, sampled_case, sampled, Sampled((5, 1), trials=3))
+    assert_many_matches_each(configs, cls, stream, ANALYTIC)
+    _, sampled_cls, sampled = small_stream(kind, T=40, d=12, exhaustive=False, count=30, seed=(5, 0))
+    assert_many_matches_each(configs, sampled_cls, sampled, Sampled((5, 1), trials=3))
 
 
 @pytest.mark.parametrize("exhaustive", [True, False])
@@ -314,7 +371,7 @@ def test_baseline_among_hybrids_raises_when_its_space_empties(exhaustive):
     case, cls, stream = small_stream("unrealizable", T=6, d=3, exhaustive=exhaustive, count=5)
     configs = [LearnerConfig("wm_halving"), LearnerConfig("halving"), LearnerConfig("wm")]
     with pytest.raises(WrongPhase):
-        evaluate_many(configs, case, stream)
+        evaluate_many(configs, cls, stream)
 
 
 def test_repeated_learner_is_computed_once_and_reported_twice():
@@ -327,10 +384,10 @@ def test_repeated_learner_is_computed_once_and_reported_twice():
         return run_batch_many(configs, *args)
 
     with mock.patch.object(experiments, "run_batch_many", spy):
-        first, second = evaluate_many([wm, wm], case, stream)
+        first, second = evaluate_many([wm, wm], cls, stream)
     assert seen == [(wm,)]
     assert first == second and first is not second
-    assert evaluate_many([], case, stream) == []
+    assert evaluate_many([], cls, stream) == []
 
 
 # --- bound verdicts -----------------------------------------------------------
@@ -393,11 +450,17 @@ def test_baselines_have_no_agnostic_bound():
     assert check_bounds(report, cls) == []
 
 
-def test_agnostic_bound_holds_for_worst_ordering():
+@pytest.mark.parametrize("mode", [ANALYTIC, Sampled((2, 1), trials=1)], ids=["analytic", "sampled"])
+def test_agnostic_bound_holds_for_worst_ordering(mode):
+    # the regret bound holds for every sequence, so for the worst ordering's exact
+    # expectation; a sampled mean of one pass may exceed it
     case, cls, stream = small_stream("unrealizable", T=6, d=3)
     for kind in ("wm", "wm_halving", "wm_soa"):
-        report = evaluate(LearnerConfig(kind), case, stream)
+        report = evaluate(LearnerConfig(kind), case, stream, mode)
         (verdict,) = check_bounds(report, cls)
+        assert report.max_regret == report.max_exact_mistakes - report.best_mistakes
+        if mode == ANALYTIC:
+            assert report.max_regret == report.max_mistakes - report.best_mistakes
         assert report.max_regret <= verdict.bound_value + 1e-9
 
 
@@ -462,6 +525,22 @@ def test_markdown_layout(two_reports):
     assert "wm expected mistakes" in text
     assert "Diff" in text
     assert "pass" in text
+
+
+def test_markdown_has_one_table_per_run_and_reads_regret_when_unrealizable(two_reports):
+    _, cls, stream = small_stream("unrealizable")
+    configs = [LearnerConfig(k, eta_variant="sqrt2") for k in ("wm", "wm_halving")]
+    unrealizable = [with_bounds(r, cls) for r in evaluate_many(configs, cls, stream)]
+    text = emit_report([*two_reports, *unrealizable], "markdown")
+    tables = [line for line in text.splitlines() if line.startswith("| T |")]
+    assert tables == [
+        "| T | Permutations | |H| | M(h*) | wm expected mistakes | wm max mistakes"
+        " | wm_halving expected mistakes | wm_halving max mistakes | Diff |",
+        "| T | Permutations | |H| | M(h*) | wm expected regret | wm_halving expected regret | Diff |",
+    ]
+    wm, wmh = unrealizable
+    row = f"| 8 | 40320 | 4 | 4 | {wm.expected_regret:.2f} | {wmh.expected_regret:.2f} | "
+    assert row + f"{wm.expected_regret - wmh.expected_regret:.2f} |" in text
 
 
 def test_unknown_format(two_reports):
