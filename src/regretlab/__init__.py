@@ -41,7 +41,7 @@ from .learners import (
     Sampled,
     eta_for,
     run,
-    run_batch,
+    run_batch_many,
     wm_weights,
 )
 from .sequences import (
@@ -91,7 +91,7 @@ __all__ = [
     "mistake_profile",
     "restrict",
     "run",
-    "run_batch",
+    "run_batch_many",
     "with_bounds",
     "wm_weights",
 ]

@@ -85,12 +85,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _digits(text: str) -> int:
+    """The value of ASCII decimal digits, else -1; int() alone also reads signs, `_`, spaces, other digits."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else -1
+    except ValueError:  # more digits than int() converts
+        return -1
+
+
 def _seed(text: str) -> int:
     """A master seed; numpy's seed sequences take non-negative integers only."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
+    seed = _digits(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return seed
@@ -105,10 +110,7 @@ def _parse_count(value: str, flag: str, bare: str) -> int:
     if value == bare:
         return 0
     if value.startswith("sampled:"):
-        try:
-            count = int(value.split(":", 1)[1])
-        except ValueError:
-            count = 0
+        count = _digits(value.split(":", 1)[1])
         if 1 <= count <= MAX_COUNT:
             return count
     raise ConfigError(

@@ -23,14 +23,14 @@ builds. Every stream runs in this process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .errors import UnsupportedFormat
 from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
 from .learners import (
     ANALYTIC,
-    HYBRID_KINDS,
+    BASELINE_KINDS,
     Analytic,
     LearnerConfig,
     Sampled,
@@ -115,61 +115,39 @@ def evaluate_many(
     experts' mistake counts, so the learners share every ordering's version
     space and switch round, and ordering k draws from mode.seed + (k,)
     whoever reads it. A repeated config is computed once and reported again.
-    A baseline raises WrongPhase when its space empties, as it does alone.
+    A baseline raises WrongPhase only when it must predict with an empty
+    space, as it does alone.
     An instance of the base sequence outside the class's domain raises
     UnknownInstance before any learner runs.
     """
     configs = tuple(configs)
     best, _ = best_mistakes(mistake_profile(cls, stream.base))
     distinct = tuple(dict.fromkeys(configs))
-    summaries = dict(zip(distinct, _stream_summaries(distinct, cls, stream, mode)))
-    reports = []
-    for config in configs:
-        mean, max_analytic, max_sampled, max_exact = summaries[config]
-        reports.append(
-            PermutationReport(
-                learner=config,
-                T=stream.base.T,
-                d=cls.d,
-                permutation_count=len(stream),
-                best_mistakes=best,
-                expected_mistakes=mean,
-                max_mistakes=max_analytic,
-                expected_regret=mean - best,
-                max_exact_mistakes=max_exact,
-                max_mistakes_sampled=max_sampled,
-            )
-        )
-    return reports
-
-
-def _stream_summaries(
-    configs: tuple[LearnerConfig, ...],
-    cls: FiniteHypothesisClass,
-    stream: PermutationStream,
-    mode: Analytic | Sampled = ANALYTIC,
-) -> list[tuple[float, float, float | None, float]]:
-    """(mean, max) of each distinct learner's per-ordering expected mistakes, its sampled and its exact maximum.
-
-    The sampled maximum is the realized one in sampled mode; in analytic mode
-    it is the analytic maximum for a deterministic learner and None for a
-    randomized one. The exact maximum is the largest exact per-ordering
-    expectation, in either mode.
-    """
     if stream.exhaustive:
-        totals = run_exhaustive_many(configs, cls, stream, mode)
+        totals = run_exhaustive_many(distinct, cls, stream, mode)
     else:
-        totals = run_batch_many(configs, cls, stream.base, stream.blocks(), mode)
-
-    summaries = []
-    for per_ordering, exact, maxima, was_randomized in zip(*totals):
-        max_analytic = float(per_ordering.max())
+        totals = run_batch_many(distinct, cls, stream.base, stream.blocks(), mode)
+    reports = {}
+    for config, per_ordering, exact, maxima, randomized in zip(distinct, *totals):
+        mean, max_mistakes = float(per_ordering.mean()), float(per_ordering.max())
         if maxima.size:
             max_sampled: float | None = float(maxima.max())
-        else:
-            max_sampled = None if was_randomized else max_analytic
-        summaries.append((float(per_ordering.mean()), max_analytic, max_sampled, float(exact.max())))
-    return summaries
+        else:  # analytic: a deterministic learner's maximum is realized, a randomized one's is not
+            max_sampled = None if randomized else max_mistakes
+        reports[config] = PermutationReport(
+            learner=config,
+            T=stream.base.T,
+            d=cls.d,
+            permutation_count=len(stream),
+            best_mistakes=best,
+            expected_mistakes=mean,
+            max_mistakes=max_mistakes,
+            expected_regret=mean - best,
+            max_exact_mistakes=float(exact.max()),
+            max_mistakes_sampled=max_sampled,
+        )
+    # one object per row: `_report_row` tells the first report from the rest by identity
+    return [replace(reports[config]) for config in configs]
 
 
 # Version-space mistake bound of each engine: (label, value for the class). It is the
@@ -181,43 +159,39 @@ _BOUND_HEADS = {
 }
 
 
-def _realizable_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float]:
-    if kind == "wm":
-        # expected-mistake bound; with a perfect hypothesis it equals the regret bound
-        value = math.sqrt(0.5 * math.log(cls.d) * T) if cls.d > 1 else 0.0
-        return "expected mistakes <= sqrt(0.5 ln|H| T)", value
-    label, head_of = _BOUND_HEADS[kind.removeprefix("wm_")]
-    return f"mistakes <= {label}", float(head_of(cls))
+def _bound(kind: str, cls: FiniteHypothesisClass, T: int, realizable: bool) -> tuple[str, float] | None:
+    """(name, value) of the learner's mistake bound if realizable, else of its regret bound.
 
-
-def _agnostic_bound(kind: str, cls: FiniteHypothesisClass, T: int) -> tuple[str, float] | None:
+    None for a version-space baseline on an unrealizable run: it has no
+    agnostic guarantee.
+    """
+    if not realizable and kind in BASELINE_KINDS:
+        return None
     log_term = math.log(cls.d) if cls.d > 1 else 0.0
     if kind == "wm":
-        return "expected regret <= sqrt(0.5 ln|H| T)", math.sqrt(0.5 * log_term * T)
-    if kind not in HYBRID_KINDS:
-        return None  # version-space baselines have no agnostic guarantee
+        # with a perfect hypothesis the regret bound is an expected-mistake bound
+        statistic = "expected mistakes" if realizable else "expected regret"
+        return f"{statistic} <= sqrt(0.5 ln|H| T)", math.sqrt(0.5 * log_term * T)
     label, head_of = _BOUND_HEADS[kind.removeprefix("wm_")]
     head = head_of(cls)
-    rest = max(T - head, 0)
+    if realizable:
+        return f"mistakes <= {label}", float(head)
+    subtracted = f"({label})" if " - " in label else label
     return (
-        f"expected regret <= {label} + sqrt(0.5 ln|H| (T - {label}))",
-        head + math.sqrt(0.5 * log_term * rest),
+        f"expected regret <= {label} + sqrt(0.5 ln|H| (T - {subtracted}))",
+        head + math.sqrt(0.5 * log_term * max(T - head, 0)),
     )
 
 
 def check_bounds(report: PermutationReport, cls: FiniteHypothesisClass) -> list[BoundVerdict]:
     """Verdicts for the learner's mistake bound if the report is realizable, else its regret bound."""
-    kind = report.learner.kind
-    if report.realizable:
-        name, value = _realizable_bound(kind, cls, report.T)
-        # the worst ordering's exact expectation must satisfy a realizable mistake
-        # bound, not just the mean, and not a sampled mean of a few passes
-        return [BoundVerdict(name, value, report.max_exact_mistakes)]
-    spec = _agnostic_bound(kind, cls, report.T)
-    if spec is None:
+    bound = _bound(report.learner.kind, cls, report.T, report.realizable)
+    if bound is None:
         return []
-    name, value = spec
-    return [BoundVerdict(name, value, report.expected_regret)]
+    # the worst ordering's exact expectation must satisfy a realizable mistake
+    # bound, not just the mean, and not a sampled mean of a few passes
+    observed = report.max_exact_mistakes if report.realizable else report.expected_regret
+    return [BoundVerdict(*bound, observed)]
 
 
 def with_bounds(report: PermutationReport, cls: FiniteHypothesisClass) -> PermutationReport:

@@ -1,9 +1,10 @@
 """Finite hypothesis classes over a finite instance domain.
 
 A hypothesis class is a dense d x n binary table: row i holds hypothesis i's
-label on each domain point. Version spaces are bitmasks over hypothesis
-indices, which keeps consistency filtering and Littlestone-dimension
-recursions exact and cheap even at d = 500.
+label on each domain point. `VersionSpace`, the Littlestone-dimension
+recursion and SOA's comparisons hold a version space as a bitmask over
+hypothesis indices, which keeps them exact and cheap even at d = 500; the
+learners' batched kernel filters on rows of mistake counts instead.
 """
 
 from __future__ import annotations

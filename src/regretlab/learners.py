@@ -13,11 +13,13 @@ with none. Its prediction is a function of that state and the instance:
 - wm_consistent, wm_halving, wm_soa: the engine while the version space is
   non-empty, then wm on the same mistake counts.
 
-The version-space baselines raise WrongPhase once their space empties (the
-sequence is not realizable). Analytic mode accumulates the exact per-round
-mistake probability, so expectations over permutation streams need no Monte
-Carlo sampling; sampled mode draws the answers from a seeded generator,
-one generator per ordering, through one routine, `sample_mistakes`.
+A version-space baseline raises WrongPhase only when it must predict with
+an empty space (the sequence is not realizable); a space that empties in
+the final round raises nothing. Analytic mode accumulates the exact
+per-round mistake probability, so expectations over permutation streams
+need no Monte Carlo sampling; sampled mode draws the answers from a seeded
+generator, one generator per ordering, through one routine,
+`sample_mistakes`.
 
 `_batch_p_one` advances many orderings of one sequence together, one round
 at a time, for several learners at once. No prediction changes the experts'
@@ -31,11 +33,11 @@ so the wm weights come from one table of exp(-eta * k) over the integer gaps
 k <= t above each row's fewest mistakes, with no exp per round. `run_batch_many`
 gives per-ordering totals of each learner over blocks of orderings, (B, T)
 position arrays such as `PermutationStream.blocks()` yields, and in sampled
-mode every learner reads the same draws of each ordering; `run_batch` is its
-one-learner case over one block, and `run` the one-ordering case that keeps
-the per-round record. `run_exhaustive_many` gives the same totals over every
-ordering of an exhaustive stream from one table of predictions, one per
-(prefix type counts, next example type). All of them predict through one row
+mode every learner reads the same draws of each ordering; `run` is the
+one-learner, one-ordering case that keeps the per-round record.
+`run_exhaustive_many` gives the same totals over every ordering of an
+exhaustive stream from one table of predictions, one per (prefix type
+counts, next example type). All of them predict through one row
 rule, `_row_rule`. Every total holds each ordering's exact expected mistakes
 beside what the mode gives.
 """
@@ -286,30 +288,6 @@ def _rounds(cls: FiniteHypothesisClass, examples) -> tuple[np.ndarray, np.ndarra
     return cols, truth
 
 
-def run_batch(
-    config: LearnerConfig,
-    cls: FiniteHypothesisClass,
-    base: Sequence,
-    orders: Iterable[Iterable[int]],
-    mode: Analytic | Sampled = ANALYTIC,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-ordering totals of the learner over reorderings of `base`.
-
-    Each ordering lists positions into `base`. For every ordering this gives
-    what `run` gives on the reordered sequence: returns (expected mistakes per
-    ordering, realized maximum over trials per ordering -- empty in analytic
-    mode --, whether any prediction was randomized). The orderings become one
-    block; ordering k of it draws, in sampled mode, from the seed
-    mode.seed + (k,). An ordering that is not a permutation of range(T)
-    raises ValueError before any round. The one-learner case of
-    `run_batch_many`.
-    """
-    examples, orders = tuple(base), list(orders)
-    block = np.array(orders, dtype=np.intp).reshape(len(orders), len(examples))
-    expected, _, realized, randomized = run_batch_many((config,), cls, examples, [block], mode)
-    return expected[0], realized[0], bool(randomized[0])
-
-
 def run_batch_many(
     configs: tuple[LearnerConfig, ...],
     cls: FiniteHypothesisClass,
@@ -317,27 +295,27 @@ def run_batch_many(
     blocks: Iterable[np.ndarray],
     mode: Analytic | Sampled = ANALYTIC,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`run_batch` of each of the distinct `configs`, from one pass over blocks of orderings.
+    """Per-ordering totals of each of the distinct `configs`, from one pass over blocks of orderings.
 
     Each block is a (B, T) int array whose rows are orderings, positions into
     `base`; a block whose rows are not all permutations of range(T) raises
-    ValueError before any round of it. Returns (expected mistakes, exact
-    expected mistakes, realized maxima), each (L, orderings), and whether
-    each learner randomized any prediction, (L,). A block goes through the
-    round kernel in slices of max(1, sequences.BATCH_ORDERINGS // L) rows,
-    read per call, so a slice's L (B, T) arrays of P(predict 1) are no
-    larger than one learner's slice of BATCH_ORDERINGS. The SOA rule depends
-    only on the version space, so every ordering reads the class's one Ldim
-    memo.
+    ValueError before any round of it. Each ordering's totals are what `run`
+    gives on the reordered sequence: returns (expected mistakes, exact
+    expected mistakes, realized maxima -- empty in analytic mode --), each
+    (L, orderings), and whether each learner randomized any prediction, (L,).
+    In sampled mode ordering k draws from mode.seed + (k,). A block goes
+    through the round kernel in slices of max(1, BATCH_ORDERINGS // L) rows,
+    sequences.BATCH_ORDERINGS read per call, so a slice's L (B, T) arrays of
+    P(predict 1) are no larger than one learner's slice of BATCH_ORDERINGS.
+    The SOA rule depends only on the version space, so every ordering reads
+    the class's one Ldim memo.
     """
     examples = tuple(base)
     T = len(examples)
     cols, truth = _rounds(cls, examples)
     size = max(1, sequences.BATCH_ORDERINGS // (len(configs) or 1))
-    randomized = np.zeros(len(configs), dtype=bool)
 
     def batches():
-        nonlocal randomized
         for block in blocks:
             if block.shape[1:] != (T,) or not (np.sort(block, axis=1) == np.arange(T)).all():
                 raise ValueError(f"every ordering must be a permutation of range({T})")
@@ -346,10 +324,9 @@ def run_batch_many(
                 ys = truth[positions]
                 p_one, engine_rounds = _batch_p_one(configs, cls, cols[positions], ys)
                 # any wm-phase round or random halving tie, as `run` flags them per round
-                randomized = randomized | (engine_rounds < T).any(axis=1) | (p_one == 0.5).any(axis=(1, 2))
-                yield p_one, ys
+                yield p_one, ys, (engine_rounds < T).any(axis=1) | (p_one == 0.5).any(axis=(1, 2))
 
-    return *_totals(batches(), mode, len(configs)), randomized
+    return _totals(batches(), mode, len(configs))
 
 
 def run_exhaustive_many(
@@ -398,26 +375,30 @@ def run_exhaustive_many(
             kinds = type_of[positions]
             steps = stride[kinds]
             # take returns C order, so each ordering's rounds are summed in one contiguous run
-            yield table.take((np.cumsum(steps, axis=1) - steps) * len(types) + kinds, axis=1), truth[positions]
+            p_one = table.take((np.cumsum(steps, axis=1) - steps) * len(types) + kinds, axis=1)
+            yield p_one, truth[positions], randomized
 
-    return *_totals(batches(), mode, len(configs)), randomized
+    return _totals(batches(), mode, len(configs))
 
 
-def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(expected mistakes, exact expected mistakes, realized maxima), (L, orderings) each, of batches.
+def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four arrays `run_batch_many` returns, summed from batches.
 
-    Each batch is (p_one, (L, B, T), ys, (B, T)). An ordering's exact
-    expectation sums its rounds' mistake probabilities, and is its expected
-    mistakes in analytic mode, where the realized maxima are empty. In
-    sampled mode ordering k overall draws from mode.seed + (k,), once for all
-    the learners, and its expected mistakes add each round's mistake count /
+    Each batch is (p_one, (L, B, T), ys, (B, T), randomized, (L,)); a learner
+    randomized if it did in any batch. An ordering's exact expectation sums
+    its rounds' mistake probabilities, and is its expected mistakes in
+    analytic mode, where the realized maxima are empty. In sampled mode
+    ordering k overall draws from mode.seed + (k,), once for all the
+    learners, and its expected mistakes add each round's mistake count /
     trials over the rounds.
     """
     expected, exact, realized = [], [], []
+    randomized = np.zeros(L, dtype=bool)
     if isinstance(mode, Sampled):
         seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
     index = 0
-    for p_one, ys in batches:
+    for p_one, ys, batch_randomized in batches:
+        randomized |= batch_randomized
         exact.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
         B = p_one.shape[1]
         if isinstance(mode, Sampled):
@@ -432,6 +413,7 @@ def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.n
         np.concatenate(expected, axis=1) if expected else exact,
         exact,
         np.concatenate(realized, axis=1) if realized else np.empty((L, 0), dtype=np.int64),
+        randomized,
     )
 
 

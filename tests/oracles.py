@@ -15,11 +15,12 @@ written from the definitions: an integer-mask version space narrowed by
 `restrict`, halving by counting votes, SOA by comparing `ldim_by_scan` on
 the two restriction sides (one scan memo per run), and weighted majority
 with `math.exp` weights over a list of mistake counts. It shares no Ldim,
-SOA or kernel code with `run` and `run_batch`; `per_ordering_values` runs it
-once per ordering to cross-check `run_batch`.
+SOA or kernel code with `run` and `run_batch_many`; `per_ordering_values`
+runs it once per ordering to cross-check `batch_totals`, the one-learner,
+one-block call of `run_batch_many`.
 
 The exhaustive-stream oracle, `exhaustive_reference`, is the enumeration the
-prediction table of `run_exhaustive_many` replaced: `run_batch` over
+prediction table of `run_exhaustive_many` replaced: `batch_totals` over
 `itertools.permutations`, aggregated as `evaluate` reports it.
 """
 
@@ -38,7 +39,7 @@ from regretlab import (
     WrongPhase,
     eta_for,
     restrict,
-    run_batch,
+    run_batch_many,
 )
 from regretlab.learners import BASELINE_KINDS, HYBRID_KINDS, RoundRecord
 
@@ -230,6 +231,18 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
     )
 
 
+def batch_totals(config, cls: FiniteHypothesisClass, base, orders, mode=ANALYTIC):
+    """(expected mistakes, realized maxima, whether any prediction was randomized) of one learner per ordering.
+
+    `run_batch_many` of the one learner over one block of the orderings,
+    positions into `base`; in sampled mode ordering k draws from mode.seed + (k,).
+    """
+    examples, orders = tuple(base), list(orders)
+    block = np.array(orders, dtype=np.intp).reshape(len(orders), len(examples))
+    expected, _, realized, randomized = run_batch_many((config,), cls, examples, [block], mode)
+    return expected[0], realized[0], bool(randomized[0])
+
+
 def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orders, mode):
     """(expected mistakes, realized max) per ordering, and whether any round was randomized.
 
@@ -254,15 +267,15 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
 def exhaustive_reference(config, cls: FiniteHypothesisClass, base: Sequence, mode=ANALYTIC):
     """(mean and max expected mistakes, max sampled mistakes, max exact expected mistakes) over every ordering.
 
-    Runs `run_batch` on all T! orderings of `base` in `itertools.permutations`
+    Runs `batch_totals` on all T! orderings of `base` in `itertools.permutations`
     order. The sampled maximum is the realized one in sampled mode, else the
     analytic maximum for a deterministic learner and None for a randomized one.
     The exact maximum is the analytic run's maximum, in either mode.
     """
-    expected, realized, randomized = run_batch(config, cls, base, permutations(range(base.T)), mode)
+    expected, realized, randomized = batch_totals(config, cls, base, permutations(range(base.T)), mode)
     if realized.size:
         sampled = float(realized.max())
     else:
         sampled = None if randomized else float(expected.max())
-    exact = run_batch(config, cls, base, permutations(range(base.T)))[0] if realized.size else expected
+    exact = batch_totals(config, cls, base, permutations(range(base.T)))[0] if realized.size else expected
     return float(expected.mean()), float(expected.max()), sampled, float(exact.max())

@@ -398,18 +398,24 @@ def test_config_file_overrides_seed_env(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["seed"] == 3
 
 
+# int() reads all of these; a seed or count is ASCII decimal digits only
+LOOSE_NUMBERS = ["+3", "3_0", " 3", "\u0663"]
+LOOSE_IDS = ["sign", "underscore", "space", "non_ascii_digit"]
+
+
+@pytest.mark.parametrize("seed", ["-1", *LOOSE_NUMBERS], ids=["negative", *LOOSE_IDS])
 @pytest.mark.parametrize("source", ["flag", "file", "env"])
-def test_negative_seed_refused(capsys, monkeypatch, tmp_path, source):
+def test_malformed_seed_refused(capsys, monkeypatch, tmp_path, source, seed):
     monkeypatch.delenv("REGRETLAB_SEED", raising=False)
     argv = ["--T", "5", "--d", "2", "--learners", "wm", "--perm", "sampled:2"]
     if source == "flag":
-        argv += ["--seed", "-1"]
+        argv += [f"--seed={seed}"]
     elif source == "file":
         config_path = tmp_path / "exp.json"
-        config_path.write_text(json.dumps({"seed": -1}))
+        config_path.write_text(json.dumps({"seed": seed}))
         argv += ["--config", str(config_path)]
     else:
-        monkeypatch.setenv("REGRETLAB_SEED", "-2")
+        monkeypatch.setenv("REGRETLAB_SEED", seed)
     code, out, err = run_argv(argv, capsys)
     assert code == 1
     assert out == ""
@@ -522,13 +528,14 @@ def test_horizon_at_cap_accepted(capsys):
     assert json.loads(out)["T"] == MAX_T
 
 
+@pytest.mark.parametrize("count", ["100000000000000000000", *LOOSE_NUMBERS], ids=["huge", *LOOSE_IDS])
 @pytest.mark.parametrize("flag", ["--perm", "--mode"])
-def test_huge_sampled_count_refused_before_building(capsys, monkeypatch, flag):
+def test_malformed_sampled_count_refused_before_building(capsys, monkeypatch, flag, count):
     def no_build(case):  # pragma: no cover - must not be called
         raise AssertionError("class built for a refused count")
 
     monkeypatch.setattr(cli, "make_case_inputs", no_build)
-    argv = ["run", "--T", "8", "--d", "4", "--learners", "wm", flag, "sampled:100000000000000000000"]
+    argv = ["run", "--T", "8", "--d", "4", "--learners", "wm", f"{flag}=sampled:{count}"]
     code, out, err = run_argv(argv, capsys)
     assert code == 1
     assert out == ""
@@ -605,12 +612,28 @@ def test_run_builds_one_class(capsys, class_builds, perm):
     assert class_builds == [4]
 
 
-def test_reproduce_tables_builds_one_class_per_case(capsys, class_builds, monkeypatch, tmp_path):
+def run_reproduce_tables(monkeypatch, *args):
+    """Load scripts/reproduce_tables.py and run its main() with args; returns (exit code, module)."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
     spec = importlib.util.spec_from_file_location("reproduce_tables", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", [str(path), "--out", str(tmp_path)])
-    assert script.main() == 0
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    return script.main(), script
+
+
+def test_reproduce_tables_builds_one_class_per_case(capsys, class_builds, monkeypatch, tmp_path):
+    code, script = run_reproduce_tables(monkeypatch, "--out", str(tmp_path))
+    assert code == 0
     assert class_builds == [case.d for _, case, _, _ in script.RUNS] == [4, 4, 500, 500]
     assert len(list(tmp_path.glob("*.csv"))) == 8
+
+
+def test_reproduce_tables_matches_golden_bytes(capsys, monkeypatch, tmp_path):
+    # summary.md prints each case's wall-clock seconds, so only the CSVs are pinned
+    code, _ = run_reproduce_tables(monkeypatch, "--out", str(tmp_path), "--seed", "7")
+    assert code == 0
+    golden = sorted(p.name for p in (GOLDEN / "reproduce").glob("*.csv"))
+    assert golden == sorted(p.name for p in tmp_path.glob("*.csv")) and len(golden) == 8
+    for name in golden:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / "reproduce" / name).read_bytes(), name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -169,6 +170,17 @@ def repetitive_class_and_sequence(draw):
     return cls, seq_of(zip(xs, ys))
 
 
+def summary(config, cls, stream, mode):
+    """The four per-ordering statistics of the learner's report, as `oracles.exhaustive_reference` gives them."""
+    report = evaluate_many((config,), cls, stream, mode)[0]
+    return (
+        report.expected_mistakes,
+        report.max_mistakes,
+        report.max_mistakes_sampled,
+        report.max_exact_mistakes,
+    )
+
+
 @pytest.mark.parametrize("kind", LEARNER_KINDS)
 @given(
     inputs=repetitive_class_and_sequence(),
@@ -182,7 +194,7 @@ def repetitive_class_and_sequence(draw):
 )
 @settings(max_examples=60, deadline=None)
 def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_variant, mode, block_rows):
-    # exactly what evaluate reports of an exhaustive stream, against run_batch over all T! orderings
+    # exactly what evaluate reports of an exhaustive stream, against the kernel over all T! orderings
     cls, base = inputs
     config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
     stream = PermutationStream(base)
@@ -190,10 +202,10 @@ def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_var
         want = oracles.exhaustive_reference(config, cls, base, mode)
     except WrongPhase:
         with pytest.raises(WrongPhase):
-            experiments._stream_summaries((config,), cls, stream, mode)[0]
+            evaluate_many((config,), cls, stream, mode)
         return
     with mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows):  # orderings cross blocks
-        assert experiments._stream_summaries((config,), cls, stream, mode)[0] == want
+        assert summary(config, cls, stream, mode) == want
 
 
 def test_exhaustive_sampled_draws_follow_the_stream_index_across_blocks():
@@ -203,7 +215,7 @@ def test_exhaustive_sampled_draws_follow_the_stream_index_across_blocks():
     mode = Sampled((3, 1), trials=2)
     assert len(list(stream.blocks())) == 7
     want = oracles.exhaustive_reference(config, cls, stream.base, mode)
-    assert experiments._stream_summaries((config,), cls, stream, mode)[0] == want
+    assert summary(config, cls, stream, mode) == want
 
 
 def test_sampled_permutations_reproducible():
@@ -464,12 +476,65 @@ def test_agnostic_bound_holds_for_worst_ordering(mode):
         assert report.max_regret <= verdict.bound_value + 1e-9
 
 
-def test_hybrid_agnostic_bound_formula():
-    case, cls, stream = small_stream("unrealizable")
-    report = with_bounds(evaluate(LearnerConfig("wm_halving", eta_variant="sqrt2"), case, stream), cls)
-    (verdict,) = report.bounds
-    expected = 2 + math.sqrt(0.5 * math.log(4) * (8 - 2))
-    assert verdict.bound_value == pytest.approx(expected)
+# (kind, case, |H|, bound name, bound value) on the T=8 threshold cases; no
+# bound for a baseline on an unrealizable run
+BOUND_TABLE = [
+    ("consistent", "realizable", 1, "mistakes <= |H| - 1", 0.0),
+    ("consistent", "realizable", 4, "mistakes <= |H| - 1", 3.0),
+    ("consistent", "unrealizable", 1, None, None),
+    ("consistent", "unrealizable", 4, None, None),
+    ("halving", "realizable", 1, "mistakes <= floor(log2 |H|)", 0.0),
+    ("halving", "realizable", 4, "mistakes <= floor(log2 |H|)", 2.0),
+    ("halving", "unrealizable", 1, None, None),
+    ("halving", "unrealizable", 4, None, None),
+    ("soa", "realizable", 1, "mistakes <= Ldim(H)", 0.0),
+    ("soa", "realizable", 4, "mistakes <= Ldim(H)", 2.0),
+    ("soa", "unrealizable", 1, None, None),
+    ("soa", "unrealizable", 4, None, None),
+    ("wm", "realizable", 1, "expected mistakes <= sqrt(0.5 ln|H| T)", 0.0),
+    ("wm", "realizable", 4, "expected mistakes <= sqrt(0.5 ln|H| T)", 2.3548200450309493),
+    ("wm", "unrealizable", 1, "expected regret <= sqrt(0.5 ln|H| T)", 0.0),
+    ("wm", "unrealizable", 4, "expected regret <= sqrt(0.5 ln|H| T)", 2.3548200450309493),
+    ("wm_consistent", "realizable", 1, "mistakes <= |H| - 1", 0.0),
+    ("wm_consistent", "realizable", 4, "mistakes <= |H| - 1", 3.0),
+    ("wm_consistent", "unrealizable", 1, "expected regret <= |H| - 1 + sqrt(0.5 ln|H| (T - (|H| - 1)))", 0.0),
+    ("wm_consistent", "unrealizable", 4, "expected regret <= |H| - 1 + sqrt(0.5 ln|H| (T - (|H| - 1)))", 4.861648705529517),
+    ("wm_halving", "realizable", 1, "mistakes <= floor(log2 |H|)", 0.0),
+    ("wm_halving", "realizable", 4, "mistakes <= floor(log2 |H|)", 2.0),
+    ("wm_halving", "unrealizable", 1, "expected regret <= floor(log2 |H|) + sqrt(0.5 ln|H| (T - floor(log2 |H|)))", 0.0),
+    ("wm_halving", "unrealizable", 4, "expected regret <= floor(log2 |H|) + sqrt(0.5 ln|H| (T - floor(log2 |H|)))", 4.039333980337618),
+    ("wm_soa", "realizable", 1, "mistakes <= Ldim(H)", 0.0),
+    ("wm_soa", "realizable", 4, "mistakes <= Ldim(H)", 2.0),
+    ("wm_soa", "unrealizable", 1, "expected regret <= Ldim(H) + sqrt(0.5 ln|H| (T - Ldim(H)))", 0.0),
+    ("wm_soa", "unrealizable", 4, "expected regret <= Ldim(H) + sqrt(0.5 ln|H| (T - Ldim(H)))", 4.039333980337618),
+]
+
+
+@pytest.fixture(scope="module")
+def t8_reports():
+    """Each learner's analytic report over every ordering of the T=8 cases, by (kind, case, |H|), with its class."""
+    reports = {}
+    for case in ("realizable", "unrealizable"):
+        kinds = [k for k in LEARNER_KINDS if case == "realizable" or k not in BASELINE_KINDS]
+        for d in (1, 4):
+            _, cls, stream = small_stream(case, T=8, d=d)
+            for kind, report in zip(kinds, evaluate_many([LearnerConfig(k) for k in kinds], cls, stream)):
+                reports[kind, case, d] = report, cls
+    return reports
+
+
+@pytest.mark.parametrize("kind, case, d, name, value", BOUND_TABLE, ids=[f"{k}-{c}-{d}" for k, c, d, *_ in BOUND_TABLE])
+def test_bound_verdicts(monkeypatch, t8_reports, kind, case, d, name, value):
+    if name is None:
+        report, cls = t8_reports["wm_" + kind, case, d]
+        forged = dataclasses.replace(report, learner=LearnerConfig(kind))
+        monkeypatch.setattr(experiments, "ldim", lambda cls: pytest.fail("Ldim computed for no bound"))
+        assert check_bounds(forged, cls) == []
+        return
+    report, cls = t8_reports[kind, case, d]
+    (verdict,) = check_bounds(report, cls)
+    assert (verdict.name, verdict.bound_value) == (name, value)
+    assert verdict.observed == (report.max_exact_mistakes if report.realizable else report.expected_regret)
     assert verdict.passed
 
 

@@ -20,7 +20,6 @@ from regretlab import (
     mistake_profile,
     restrict,
     run,
-    run_batch,
     wm_weights,
 )
 from regretlab import learners, sequences
@@ -426,9 +425,9 @@ def assert_kernel_matches_reference(config, cls, base, orders, mode):
         )
     except WrongPhase:
         with pytest.raises(WrongPhase):
-            run_batch(config, cls, base, orders, mode)
+            oracles.batch_totals(config, cls, base, orders, mode)
         return
-    expected, realized, randomized = run_batch(config, cls, base, orders, mode)
+    expected, realized, randomized = oracles.batch_totals(config, cls, base, orders, mode)
     assert np.abs(expected - np.array(want_expected)).max() <= 1e-12
     assert realized.tolist() == want_realized
     assert randomized == want_randomized
@@ -515,7 +514,7 @@ def blank_column_inputs(draw):
 
 
 def assert_rounds_match_reference(config, cls, base, orders, mode):
-    """`run` of each ordering, `run_batch` and the kernel's per-row engine rounds against `oracles.reference_run`."""
+    """`run` of each ordering, `oracles.batch_totals` and the kernel's per-row engine rounds against `oracles.reference_run`."""
     seqs = [seq_of(base.examples[i] for i in order) for order in orders]
     for seq in seqs:
         assert_run_matches_reference(config, cls, seq, mode)
@@ -593,7 +592,7 @@ def test_batch_refuses_orderings_that_are_not_permutations(monkeypatch, threshol
     monkeypatch.setattr(learners, "_batch_p_one", lambda *args: pytest.fail("a round ran"))
     for order in ([0, 0, 0, 0], [-1, 0, 1, 2], [0, 1, 2, 9]):
         with pytest.raises(ValueError, match="permutation"):
-            run_batch(LearnerConfig("wm"), threshold8, base, [order])
+            oracles.batch_totals(LearnerConfig("wm"), threshold8, base, [order])
         block = np.array([range(4), order])
         with pytest.raises(ValueError, match="permutation"):
             learners.run_batch_many((LearnerConfig("wm_halving"),), threshold8, base, [block])
@@ -710,9 +709,9 @@ def test_batch_of_a_space_that_empties_on_the_final_round(threshold8, kind):
 
 def test_batch_kernel_validates_inputs_before_any_round(threshold8):
     with pytest.raises(UnknownInstance):
-        run_batch(LearnerConfig("wm"), threshold8, seq_of([(0, 1), (99, 0)]), [])
+        oracles.batch_totals(LearnerConfig("wm"), threshold8, seq_of([(0, 1), (99, 0)]), [])
     with pytest.raises(ValueError):
-        run_batch(LearnerConfig("wm"), threshold8, ((0, 1), (1, 2)), [])
+        oracles.batch_totals(LearnerConfig("wm"), threshold8, ((0, 1), (1, 2)), [])
 
 
 # --- long horizons: weight-table gaps well above 7 -------------------------------
@@ -784,5 +783,5 @@ def test_wm_batch_calls_exp_once(monkeypatch, T):
         return exp(*args, **kwargs)
 
     monkeypatch.setattr(learners.np, "exp", counting_exp)
-    run_batch(LearnerConfig("wm"), cls, base, [range(T), range(T - 1, -1, -1)])
+    oracles.batch_totals(LearnerConfig("wm"), cls, base, [range(T), range(T - 1, -1, -1)])
     assert len(calls) == 1
