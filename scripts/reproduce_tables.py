@@ -33,6 +33,7 @@ from regretlab import (
     make_case_inputs,
     with_bounds,
 )
+from regretlab.cli import _natural
 from regretlab.learners import ETA_VARIANTS
 
 RUNS = [
@@ -49,7 +50,7 @@ PAIRS = (("", "wm_halving"), ("_wm_soa", "wm_soa"))
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="reports", help="output directory")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=_natural, default=7)
     parser.add_argument("--eta-variant", choices=ETA_VARIANTS, default="sqrt2")
     args = parser.parse_args()
 

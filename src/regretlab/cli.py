@@ -93,12 +93,12 @@ def _digits(text: str) -> int:
         return -1
 
 
-def _seed(text: str) -> int:
-    """A master seed; numpy's seed sequences take non-negative integers only."""
-    seed = _digits(text)
-    if seed < 0:
+def _natural(text: str) -> int:
+    """--T, --d or a master seed in ASCII decimal digits; numpy's seed sequences take no negatives."""
+    value = _digits(text)
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return seed
+    return value
 
 
 def _learner_list(text: str) -> tuple[str, ...]:
@@ -125,11 +125,11 @@ def build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="evaluate learners over a permutation stream")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
     run_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE))
-    run_p.add_argument("--T", type=int)
-    run_p.add_argument("--d", type=int)
+    run_p.add_argument("--T", type=_natural)
+    run_p.add_argument("--d", type=_natural)
     run_p.add_argument("--learners", type=_learner_list, help="comma-separated learner kinds")
     run_p.add_argument("--perm", help="exhaustive or sampled:N")
-    run_p.add_argument("--seed", type=_seed)
+    run_p.add_argument("--seed", type=_natural)
     run_p.add_argument("--eta-variant", choices=ETA_VARIANTS)
     run_p.add_argument("--mode", help="analytic or sampled:N")
     run_p.add_argument("--format", choices=FORMATS)
@@ -143,8 +143,8 @@ def build_parser() -> _Parser:
 
     gen_p = sub.add_parser("gen", help="dump the generated class and sequence")
     gen_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE), default=REALIZABLE)
-    gen_p.add_argument("--T", type=int, required=True)
-    gen_p.add_argument("--d", type=int)
+    gen_p.add_argument("--T", type=_natural, required=True)
+    gen_p.add_argument("--d", type=_natural)
     gen_p.add_argument(
         "--out",
         help="prefix: writes PREFIX.sequence.csv and PREFIX.class.json "
@@ -181,7 +181,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     if values["seed"] is None and SEED_ENV_VAR in os.environ:
         try:
-            values["seed"] = _seed(os.environ[SEED_ENV_VAR])
+            values["seed"] = _natural(os.environ[SEED_ENV_VAR])
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
     return ExperimentConfig(**{k: v for k, v in values.items() if v is not None})

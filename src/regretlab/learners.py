@@ -25,10 +25,10 @@ generator, one generator per ordering, through one routine,
 at a time, for several learners at once. No prediction changes the experts'
 mistake counts, so every learner has the same version space each round and
 switches in the same round: the counts, the space and each distinct wm rate
-are computed once per round and shared. A round whose instance lies in a
-blank column, one no hypothesis labels 1, skips the row rule: every learner
-predicts 0 there and no expert's gap above its row's fewest mistakes moves;
-labeled 1, it still empties the version space. Mistake counts are integers,
+are computed once per round and shared. The loop runs the rounds off blank
+columns, columns no hypothesis labels 1, plus each ordering's first blank
+round labeled 1, which must run because it empties the version space; every
+learner predicts 0 on a blank column. Mistake counts are integers,
 so the wm weights come from one table of exp(-eta * k) over the integer gaps
 k <= t above each row's fewest mistakes, with no exp per round. `run_batch_many`
 gives per-ordering totals of each learner over blocks of orderings, (B, T)
@@ -431,49 +431,38 @@ def _batch_p_one(
     grows, so a learner with an engine predicts by it in the first
     engine_rounds[l, b] rounds of row b and by wm in the rest.
 
-    A round whose instance lies in a blank column (no hypothesis labels it 1)
-    never reaches the row rule: every learner predicts 0.0 there, and no
-    expert's gap above its row's fewest mistakes moves. The rows order one
-    multiset, so each keeps the same K rounds, and the loop runs K times. A
-    blank round labeled 1 still makes every expert err: a row's first one
-    adds 1 to all its counts before the row's next kept round, and it sets
-    engine_rounds if the space was still non-empty then. A baseline raises
-    WrongPhase if any space is empty before some round, kept or blank.
+    The loop runs the rounds off blank columns (columns no hypothesis labels
+    1) plus each row's first blank round labeled 1. That round must run: it
+    makes every expert err, so it empties the version space. Every learner
+    predicts 0.0 on a blank column, so the rows' other blank rounds are
+    skipped: no expert's gap above its row's fewest mistakes moves there.
+    The rows order one multiset, so each runs the same K rounds. A space
+    empties in the update of its last in-space round, if ever; a baseline
+    raises WrongPhase if any space is empty before some round.
     """
     B, T = cols.shape
     p_rows, has_engine = _row_rule(configs, cls, T)
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
     kept = advice_of.any(axis=1)[cols]
+    blank_one = truth & ~kept
+    if blank_one.any():  # then every row has one; argmax refuses the empty rows of T = 0
+        kept[np.arange(B), blank_one.argmax(axis=1)] = True
     K = int(kept[0].sum())
     pos = np.broadcast_to(np.arange(T, dtype=np.int32), (B, T))[kept].reshape(B, K)  # kept rounds
-    blank_one = truth & ~kept
-    first_blank_one = (~np.logical_or.accumulate(blank_one, axis=1)).sum(axis=1)  # T if none
-    # the kept round each row's first blank 1 precedes (K: after the last); -1 if none
-    bump_at = np.where(first_blank_one < T, (pos < first_blank_one[:, None]).sum(axis=1), -1)
     kept_cols, kept_truth = cols[kept].reshape(B, K), truth[kept].reshape(B, K)
-    emptied_by_blank = np.zeros(B, dtype=bool)
     mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
     space_rounds = np.zeros(B, dtype=np.int64)
     kept_p_one = np.empty((len(configs), B, K))
-    for k in range(K + 1):
-        bumped = np.flatnonzero(bump_at == k)
-        if bumped.size:
-            emptied_by_blank[bumped] = mistakes[bumped].min(axis=1) == 0
-            mistakes[bumped] += 1
-        if k == K:
-            break
+    for k in range(K):
         advice = advice_of[kept_cols[:, k]]
         kept_p_one[:, :, k], in_space = p_rows(mistakes, advice, kept_cols[:, k])
         space_rounds += in_space
         mistakes += advice != kept_truth[:, k, None]
     p_one = np.zeros((len(configs), B, T))
     p_one[:, kept] = kept_p_one.reshape(len(configs), B * K)
-    # a space empties at the first blank 1 that finds it non-empty, else in the
-    # update of its last in-space kept round, if ever
     engine_rounds = np.full(B, T)
-    by_kept = (mistakes.min(axis=1) > 0) & ~emptied_by_blank
-    engine_rounds[by_kept] = pos[by_kept, space_rounds[by_kept] - 1] + 1
-    engine_rounds[emptied_by_blank] = first_blank_one[emptied_by_blank] + 1
+    emptied = mistakes.min(axis=1) > 0
+    engine_rounds[emptied] = pos[emptied, space_rounds[emptied] - 1] + 1
     if any(c.kind in BASELINE_KINDS for c in configs) and (engine_rounds < T).any():
         raise WrongPhase("version space is empty; the sequence is not realizable")
     return p_one, np.outer(has_engine, engine_rounds)

@@ -349,7 +349,7 @@ VALID_FILE = {"T": 5, "d": 2, "learners": ["wm"]}
         (dict(VALID_FILE, eta_variant="bogus"), "argument --eta-variant: invalid choice"),
         (dict(VALID_FILE, check_bounds="no"), "--check-bounds"),
         (dict(VALID_FILE, seed="x"), "argument --seed"),
-        (dict(VALID_FILE, T="five"), "argument --T: invalid int value"),
+        (dict(VALID_FILE, T="five"), "argument --T: must be a non-negative integer"),
         (dict(VALID_FILE, jobs=[2]), "unknown config keys: ['jobs']"),
         ({"T": "5"}, "got d=0, T=5"),
         (dict(VALID_FILE, config="other.json"), "unknown config keys"),
@@ -521,6 +521,29 @@ def test_horizon_out_of_range_refused_before_building(capsys, monkeypatch, argv)
     assert f"1 <= T <= {MAX_T}" in err
 
 
+@pytest.mark.parametrize("value", ["-1", *LOOSE_NUMBERS], ids=["negative", *LOOSE_IDS])
+@pytest.mark.parametrize("flag", ["--T", "--d"])
+@pytest.mark.parametrize("source", ["run", "run_file", "gen"])
+def test_malformed_size_refused_before_building(capsys, monkeypatch, tmp_path, source, flag, value):
+    def no_build(case):  # pragma: no cover - must not be called
+        raise AssertionError("class built for a refused size")
+
+    monkeypatch.setattr(cli, "make_case_inputs", no_build)
+    sizes = {"--T": "8", "--d": "4", flag: value}
+    if source == "run_file":
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"T": sizes["--T"], "d": sizes["--d"], "learners": ["wm"]}))
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = [source, "--T", sizes["--T"], "--d", sizes["--d"]]
+        argv += ["--learners", "wm"] if source == "run" else []
+    code, out, err = run_argv(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("regretlab: error: ") and err.count("\n") == 1
+    assert f"argument {flag}: must be a non-negative integer" in err
+
+
 def test_horizon_at_cap_accepted(capsys):
     argv = ["--T", str(MAX_T), "--d", "1", "--learners", "wm", "--perm", "sampled:1", "--dump-config"]
     code, out, _ = run_argv(argv, capsys)
@@ -627,6 +650,15 @@ def test_reproduce_tables_builds_one_class_per_case(capsys, class_builds, monkey
     assert code == 0
     assert class_builds == [case.d for _, case, _, _ in script.RUNS] == [4, 4, 500, 500]
     assert len(list(tmp_path.glob("*.csv"))) == 8
+
+
+@pytest.mark.parametrize("seed", ["-1", "+3"])
+def test_reproduce_tables_refuses_malformed_seed_before_writing(capsys, monkeypatch, tmp_path, seed):
+    with pytest.raises(SystemExit) as exc:
+        run_reproduce_tables(monkeypatch, "--out", str(tmp_path / "reports"), "--seed", seed)
+    assert exc.value.code != 0
+    assert "non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_reproduce_tables_matches_golden_bytes(capsys, monkeypatch, tmp_path):

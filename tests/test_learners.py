@@ -250,11 +250,17 @@ def test_run_wm_single_round_uniform():
     assert trace.expected_mistakes == pytest.approx(0.5)
 
 
-def test_run_empty_sequence(threshold8):
-    trace = run(LearnerConfig("wm"), threshold8, Sequence(()))
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+def test_run_empty_sequence(threshold8, kind):
+    trace = run(LearnerConfig(kind), threshold8, Sequence(()))
     assert trace.expected_mistakes == 0.0
     assert trace.rounds == []
     assert trace.to_jsonl() == ""
+    expected, exact, realized, randomized = learners.run_batch_many(
+        (LearnerConfig(kind),), threshold8, Sequence(()), [np.empty((1, 0), dtype=np.intp)]
+    )
+    assert expected.tolist() == exact.tolist() == [[0.0]]
+    assert realized.shape == (1, 0) and randomized.tolist() == [False]
 
 
 def test_run_single_expert_class():
@@ -566,7 +572,8 @@ def test_blank_rounds_that_empty_the_space(threshold8, name, kind, tie_break):
 
 @pytest.mark.parametrize("case_kind", ["realizable", "unrealizable"])
 def test_row_rule_runs_only_on_rounds_off_blank_columns(monkeypatch, case_kind):
-    # T=128, d=64 thresholds: no hypothesis labels any of the 64 instances x <= 0 with 1
+    # T=128, d=64 thresholds: no hypothesis labels any of the 64 instances x <= 0 with 1;
+    # the unrealizable case labels them 1, and its first one runs to empty the space
     cls, base = make_case_inputs(ExperimentCase(case_kind, 128, 64))
     calls, row_rule = [], learners._row_rule
 
@@ -584,7 +591,7 @@ def test_row_rule_runs_only_on_rounds_off_blank_columns(monkeypatch, case_kind):
     orders = [rng.permutation(base.T).tolist() for _ in range(5)]
     configs = (LearnerConfig("wm"), LearnerConfig("wm_halving"))
     learners.run_batch_many(configs, cls, base, [np.array(orders)])
-    assert calls == [5] * 64
+    assert calls == [5] * (65 if case_kind == "unrealizable" else 64)
 
 
 def test_batch_refuses_orderings_that_are_not_permutations(monkeypatch, threshold8):
