@@ -23,7 +23,7 @@ builds. Every stream runs in this process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnsupportedFormat
@@ -114,7 +114,7 @@ def evaluate_many(
     Each report equals the learner's own report: no prediction changes the
     experts' mistake counts, so the learners share every ordering's version
     space and switch round, and ordering k draws from mode.seed + (k,)
-    whoever reads it. A repeated config is computed once and reported again.
+    whoever reads it. A repeated config is computed once; its report stands at each position.
     A baseline raises WrongPhase only when it must predict with an empty
     space, as it does alone.
     An instance of the base sequence outside the class's domain raises
@@ -146,8 +146,7 @@ def evaluate_many(
             max_exact_mistakes=float(exact.max()),
             max_mistakes_sampled=max_sampled,
         )
-    # one object per row: `_report_row` tells the first report from the rest by identity
-    return [replace(reports[config]) for config in configs]
+    return [reports[config] for config in configs]
 
 
 # Version-space mistake bound of each engine: (label, value for the class). It is the
@@ -199,24 +198,6 @@ def with_bounds(report: PermutationReport, cls: FiniteHypothesisClass) -> Permut
     return report
 
 
-CSV_COLUMNS = (
-    "learner",
-    "T",
-    "permutations",
-    "|H|",
-    "M(h*)",
-    "expected_mistakes",
-    "max_mistakes",
-    "max_mistakes_sampled",
-    "expected_regret",
-    "diff",
-    "bound_name",
-    "bound_value",
-    "bound_observed",
-    "bound_pass",
-)
-
-
 def _diff_metric(report: PermutationReport) -> float:
     if report.realizable:
         return report.max_mistakes
@@ -224,9 +205,8 @@ def _diff_metric(report: PermutationReport) -> float:
 
 
 def _report_row(report: PermutationReport, first: PermutationReport | None) -> dict:
-    diff = None
-    if first is not None and first is not report:
-        diff = _diff_metric(first) - _diff_metric(report)
+    """A report's row; its keys in order are every format's columns. `first` is row 0's report, None on row 0."""
+    diff = None if first is None else _diff_metric(first) - _diff_metric(report)
     verdict = report.bounds[0] if report.bounds else None
     return {
         "learner": report.learner.kind,
@@ -247,8 +227,7 @@ def _report_row(report: PermutationReport, first: PermutationReport | None) -> d
 
 
 def _rows(reports: list[PermutationReport]) -> list[dict]:
-    first = reports[0] if reports else None
-    return [_report_row(r, first) for r in reports]
+    return [_report_row(r, reports[0] if i else None) for i, r in enumerate(reports)]
 
 
 def _csv_cell(value) -> str:
@@ -266,9 +245,8 @@ def emit_report(reports: list[PermutationReport], fmt: str = "csv") -> str:
     if not reports:
         raise ValueError("no reports to emit")
     if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in _rows(reports):
-            lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
+        rows = _rows(reports)
+        lines = [",".join(rows[0])] + [",".join(map(_csv_cell, row.values())) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         import json

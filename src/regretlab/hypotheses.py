@@ -174,8 +174,6 @@ def restrict(space: VersionSpace, cls: FiniteHypothesisClass, x: int, y: int) ->
 
 def mistake_profile(cls: FiniteHypothesisClass, seq: Sequence) -> np.ndarray:
     """Per-hypothesis total mistakes over the sequence; order-invariant."""
-    if seq.T == 0:
-        return np.zeros(cls.d, dtype=np.int64)
     cols = np.array([cls.column_index(x) for x, _ in seq], dtype=np.intp)
     ys = np.array([y for _, y in seq], dtype=np.int8)
     return (cls.table[:, cols] != ys).sum(axis=1).astype(np.int64)

@@ -52,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import WrongPhase
-from .hypotheses import FiniteHypothesisClass, Sequence, bitmasks, mistake_profile
+from .hypotheses import FiniteHypothesisClass, Sequence, bitmasks
 # Not called here: kept as the attribute perfbench/spans.py wraps as `learners.restrict`.
 from .hypotheses import restrict  # noqa: F401
 from .ldim import LdimComputer
@@ -254,11 +254,9 @@ def run(
         round_probs = analytic_probs
 
     switch_round = min_mistakes_at_switch = None
-    # the final counts are the mistake profile whatever the order; none is 0 iff the space emptied
-    if config.kind in HYBRID_KINDS and mistake_profile(cls, Sequence(examples)).min() > 0:
-        switch_round = int(engine_rounds)
-        prefix = Sequence(examples[:switch_round])
-        min_mistakes_at_switch = int(mistake_profile(cls, prefix).min())
+    # the space emptied iff every expert errs on some round; the last to leave it erred once
+    if config.kind in HYBRID_KINDS and (cls.table[:, cols] != truth).any(axis=1).all():
+        switch_round, min_mistakes_at_switch = int(engine_rounds), 1
 
     deterministic = int(analytic_probs[~randomized].sum())
     rounds: list[RoundRecord] = []

@@ -398,7 +398,7 @@ def test_repeated_learner_is_computed_once_and_reported_twice():
     with mock.patch.object(experiments, "run_batch_many", spy):
         first, second = evaluate_many([wm, wm], cls, stream)
     assert seen == [(wm,)]
-    assert first == second and first is not second
+    assert first == second
     assert evaluate_many([], cls, stream) == []
 
 
@@ -573,6 +573,18 @@ def test_csv_no_blank_cells_for_deterministic_learner(two_reports):
     row = emit_report(two_reports, "csv").strip().splitlines()[2].split(",")
     sampled_at = header.index("max_mistakes_sampled")
     assert row[sampled_at] != ""
+
+
+def test_diff_is_found_by_position():
+    # one report object at two positions: only the first row is the reference row
+    _, cls, stream = small_stream(T=6, d=3)
+    r, h = evaluate_many([LearnerConfig("wm"), LearnerConfig("wm_halving")], cls, stream)
+    last = experiments._diff_metric(r) - experiments._diff_metric(h)
+    lines = emit_report([r, r, h], "csv").splitlines()
+    diff_at = lines[0].split(",").index("diff")
+    assert [line.split(",")[diff_at] for line in lines[1:]] == ["", "0.0", repr(last)]
+    rows = json.loads(emit_report([r, r, h], "json"))["reports"]
+    assert [row["diff"] for row in rows] == [None, 0.0, last]
 
 
 def test_json_round_trip(two_reports):

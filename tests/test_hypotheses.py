@@ -66,7 +66,8 @@ def test_mistake_profile_realizable(threshold8, realizable8):
 
 
 def test_mistake_profile_empty_sequence(threshold8):
-    assert mistake_profile(threshold8, Sequence(())).tolist() == [0] * 5
+    profile = mistake_profile(threshold8, Sequence(()))
+    assert profile.dtype == np.int64 and profile.tolist() == [0] * 5
 
 
 def test_mistake_profile_all_ones_d4():

@@ -571,9 +571,10 @@ def test_blank_rounds_that_empty_the_space(threshold8, name, kind, tie_break):
 
 
 @pytest.mark.parametrize("case_kind", ["realizable", "unrealizable"])
-def test_row_rule_runs_only_on_rounds_off_blank_columns(monkeypatch, case_kind):
-    # T=128, d=64 thresholds: no hypothesis labels any of the 64 instances x <= 0 with 1;
-    # the unrealizable case labels them 1, and its first one runs to empty the space
+def test_row_rule_runs_only_on_kept_rounds(monkeypatch, case_kind):
+    # T=128, d=64 thresholds: no hypothesis labels any of the 64 instances x <= 0 with 1.
+    # The kept rounds are the 64 off those blank columns plus, in the unrealizable case,
+    # which labels them 1, each ordering's first blank 1, the round that empties its space
     cls, base = make_case_inputs(ExperimentCase(case_kind, 128, 64))
     calls, row_rule = [], learners._row_rule
 
