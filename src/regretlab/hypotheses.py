@@ -116,7 +116,7 @@ class FiniteHypothesisClass:
             raise ValueError("table width must equal the domain size")
         if len(set(self.domain)) != len(self.domain):
             raise ValueError("domain points must be distinct")
-        if not np.isin(table, (0, 1)).all():
+        if not ((table == 0) | (table == 1)).all():
             raise ValueError("table entries must be 0 or 1")
         table = np.ascontiguousarray(table, dtype=np.int8)
         object.__setattr__(self, "table", table)

@@ -39,7 +39,8 @@ one-learner, one-ordering case that keeps the per-round record.
 exhaustive stream from one table of predictions, one per (prefix type
 counts, next example type). All of them predict through one row
 rule, `_row_rule`. Every total holds each ordering's exact expected mistakes
-beside what the mode gives.
+beside what the mode gives. A round is randomized iff 0 < P(predict 1) < 1,
+and a learner iff some round of some ordering is.
 """
 
 from __future__ import annotations
@@ -230,18 +231,16 @@ def run(
     probability. Sampled mode replays the same per-round prediction
     probabilities through a seeded generator; learner state never depends on
     the learner's own predictions, so the probabilities are shared across
-    trials. Deterministic learners produce identical traces in both modes.
-    A hybrid whose version space empties reports switch_round, the number of
-    rounds its engine predicted, and the fewest mistakes any expert made in
-    them.
+    trials. A round is randomized iff 0 < P(predict 1) < 1; the other
+    rounds read the same in both modes. A hybrid whose version space empties
+    reports switch_round, the number of rounds its engine predicted, and the
+    fewest mistakes any expert made in them.
     """
     examples = tuple(seq)
     cols, truth = _rounds(cls, examples)
     p_ones, engine_rounds = _batch_p_one((config,), cls, cols[None], truth[None])
-    p_ones, engine_rounds = p_ones[0, 0], engine_rounds[0, 0]
-    # every wm-phase round is randomized; an engine predicts a label, 0 or 1,
-    # or the fair coin 0.5 of a random halving tie
-    randomized = (np.arange(len(examples)) >= engine_rounds) | (p_ones == 0.5)
+    p_ones, engine_rounds = p_ones[0, 0], engine_rounds[0]
+    randomized = (0.0 < p_ones) & (p_ones < 1.0)
 
     analytic_probs = np.where(truth, 1.0 - p_ones, p_ones)
     trial_mistakes = None
@@ -320,9 +319,7 @@ def run_batch_many(
             for start in range(0, len(block), size):
                 positions = block[start : start + size]
                 ys = truth[positions]
-                p_one, engine_rounds = _batch_p_one(configs, cls, cols[positions], ys)
-                # any wm-phase round or random halving tie, as `run` flags them per round
-                yield p_one, ys, (engine_rounds < T).any(axis=1) | (p_one == 0.5).any(axis=(1, 2))
+                yield _batch_p_one(configs, cls, cols[positions], ys)[0], ys
 
     return _totals(batches(), mode, len(configs))
 
@@ -341,8 +338,8 @@ def run_exhaustive_many(
     runs once, on every pair (counts c <= n, next type k with c_k < n_k), for
     all the learners, and each ordering reads its rounds from that table at
     the mixed-radix ids of its prefix counts. Every such pair is the state
-    and next example of some ordering, so WrongPhase and the randomized flags
-    read the whole table, and the per-ordering totals are summed as
+    and next example of some ordering, so WrongPhase reads the whole table,
+    and the per-ordering totals and randomized flags are summed as
     `run_batch_many` sums them.
     """
     blocks = stream.blocks()  # refuses T above the cap before any allocation
@@ -362,9 +359,7 @@ def run_exhaustive_many(
     counts = np.arange(np.prod(n + 1))[:, None] // stride % (n + 1)  # (states, types)
     wrong = advice_of[type_cols] != type_truth[:, None]  # (types, d)
     state, k = np.nonzero(counts < n)
-    p_rows, has_engine = _row_rule(configs, cls, T)
-    p, in_space = p_rows(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
-    randomized = (~np.outer(has_engine, in_space)).any(axis=1) | (p == 0.5).any(axis=1)
+    p, _ = _row_rule(configs, cls, T)(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
     table = np.zeros((len(configs), counts.size))  # learner l's p at (state s, type k): table[l, s * types + k]
     table[:, state * len(types) + k] = p
 
@@ -374,7 +369,7 @@ def run_exhaustive_many(
             steps = stride[kinds]
             # take returns C order, so each ordering's rounds are summed in one contiguous run
             p_one = table.take((np.cumsum(steps, axis=1) - steps) * len(types) + kinds, axis=1)
-            yield p_one, truth[positions], randomized
+            yield p_one, truth[positions]
 
     return _totals(batches(), mode, len(configs))
 
@@ -382,12 +377,12 @@ def run_exhaustive_many(
 def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four arrays `run_batch_many` returns, summed from batches.
 
-    Each batch is (p_one, (L, B, T), ys, (B, T), randomized, (L,)); a learner
-    randomized if it did in any batch. An ordering's exact expectation sums
-    its rounds' mistake probabilities, and is its expected mistakes in
-    analytic mode, where the realized maxima are empty. In sampled mode
-    ordering k overall draws from mode.seed + (k,), once for all the
-    learners, and its expected mistakes add each round's mistake count /
+    Each batch is (p_one, (L, B, T), ys, (B, T)); a learner randomized if
+    0 < p_one < 1 in some round of some batch. An ordering's exact
+    expectation sums its rounds' mistake probabilities, and is its expected
+    mistakes in analytic mode, where the realized maxima are empty. In
+    sampled mode ordering k overall draws from mode.seed + (k,), once for all
+    the learners, and its expected mistakes add each round's mistake count /
     trials over the rounds.
     """
     expected, exact, realized = [], [], []
@@ -395,8 +390,8 @@ def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.n
     if isinstance(mode, Sampled):
         seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
     index = 0
-    for p_one, ys, batch_randomized in batches:
-        randomized |= batch_randomized
+    for p_one, ys in batches:
+        randomized |= ((0.0 < p_one) & (p_one < 1.0)).any(axis=(1, 2))
         exact.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
         B = p_one.shape[1]
         if isinstance(mode, Sampled):
@@ -421,13 +416,14 @@ def _batch_p_one(
     cols: np.ndarray,
     truth: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """P(predict 1) of each learner, (L, B, T), for B orderings at once, and its engine round counts, (L, B).
+    """P(predict 1) of each learner, (L, B, T), for B orderings at once, and the engine round counts, (B,).
 
     Row b's state is one row of expert mistake counts, shared by every
     learner, and round t's advice is advice_of[cols[:, t]], one (B, d) array;
     the row rule maps both to the round's predictions. A version space never
-    grows, so a learner with an engine predicts by it in the first
-    engine_rounds[l, b] rounds of row b and by wm in the rest.
+    grows, and every learner shares it, so a learner with an engine predicts
+    by it in the first engine_rounds[b] rounds of row b and by wm in the
+    rest; engine_rounds[b] is T unless row b's space empties.
 
     The loop runs the rounds off blank columns (columns no hypothesis labels
     1) plus each row's first blank round labeled 1. That round must run: it
@@ -439,7 +435,7 @@ def _batch_p_one(
     raises WrongPhase if any space is empty before some round.
     """
     B, T = cols.shape
-    p_rows, has_engine = _row_rule(configs, cls, T)
+    p_rows = _row_rule(configs, cls, T)
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
     kept = advice_of.any(axis=1)[cols]
     blank_one = truth & ~kept
@@ -463,11 +459,11 @@ def _batch_p_one(
     engine_rounds[emptied] = pos[emptied, space_rounds[emptied] - 1] + 1
     if any(c.kind in BASELINE_KINDS for c in configs) and (engine_rounds < T).any():
         raise WrongPhase("version space is empty; the sequence is not realizable")
-    return p_one, np.outer(has_engine, engine_rounds)
+    return p_one, engine_rounds
 
 
 def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T: int):
-    """The distinct learners' predictions on rows, for sequences of length T, and which have an engine, (L,).
+    """The distinct learners' predictions on rows, for sequences of length T.
 
     The returned function maps R rows of (expert mistake counts, advice on
     the row's instance, that instance's column) to (P(predict 1) of each
@@ -482,10 +478,11 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
 
     Mistake counts are integers and a row's gap above its own minimum is at
     most T, so the wm weights exp(-eta * (m - min m)) are read from the table
-    decay[k] = exp(-eta * k), k = 0 .. T, built once per variant here; P(1)
-    is the weight on 1 over the total weight, capped at 1.
+    decay[k] = exp(-eta * k), k = 0 .. T, built once per variant here. P(1)
+    is S1 / (S1 + S0), the weight on 1 over the weights on 1 and on 0. An
+    empty side sums to exactly 0, so a column all experts label alike gives
+    exactly 0.0 or 1.0, and S1 <= S1 + S0 in floating point, so P(1) <= 1.
     """
-    has_engine = np.array([c.kind != "wm" for c in configs], dtype=bool)
     engines: dict[tuple[str, str], list[int]] = {}
     rates: dict[str, list[int]] = {}
     for i, c in enumerate(configs):
@@ -509,8 +506,9 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
             if all_in and variant not in every_row:
                 continue
             rows = ~in_space if any_in and variant not in every_row else slice(None)
-            w = decays[variant].take(mistakes[rows] - low[rows])
-            value = np.minimum(1.0, np.einsum("ij,ij->i", w, advice[rows]) / w.sum(axis=1))
+            w, row_advice = decays[variant].take(mistakes[rows] - low[rows]), advice[rows]
+            ones = np.einsum("ij,ij->i", w, row_advice)
+            value = ones / (ones + np.einsum("ij,ij->i", w, ~row_advice))
             for i in users:
                 p[i, rows] = value
         if any_in and engines:  # overwrites the wm values of a hybrid's in-space rows
@@ -524,7 +522,7 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
                     p[i, rows] = value
         return p, in_space
 
-    return p_rows, has_engine
+    return p_rows
 
 
 def _engine_p_one(

@@ -14,8 +14,10 @@ The learner oracle, `reference_run`, is a plain round-by-round learner
 written from the definitions: an integer-mask version space narrowed by
 `restrict`, halving by counting votes, SOA by comparing `ldim_by_scan` on
 the two restriction sides (one scan memo per run), and weighted majority
-with `math.exp` weights over a list of mistake counts. It shares no Ldim,
-SOA or kernel code with `run` and `run_batch_many`; `per_ordering_values`
+with `math.exp` weights over a list of mistake counts. A round is
+randomized iff 0 < p < 1, read from the prediction alone, so a Weighted
+Majority round whose experts all agree is not. It shares no Ldim, SOA or
+kernel code with `run` and `run_batch_many`; `per_ordering_values`
 runs it once per ordering to cross-check `batch_totals`, the one-learner,
 one-block call of `run_batch_many`.
 
@@ -152,24 +154,22 @@ def witness_by_scan(cls: FiniteHypothesisClass, mask: int | None = None) -> tupl
     return witness(mask, ldim_by_scan(cls, mask, memo))
 
 
-def _engine_prediction(engine, tie_break, cls, scan_memo, space, x) -> tuple[float, bool]:
-    """(P(predict 1), randomized) of a version-space rule on a non-empty space."""
+def _engine_prediction(engine, tie_break, cls, scan_memo, space, x) -> float:
+    """P(predict 1) of a version-space rule on a non-empty space."""
     if engine == "consistent":
-        return float(cls.evaluate(space.min_index(), x)), False
+        return float(cls.evaluate(space.min_index(), x))
     if engine == "halving":
         ones = sum(cls.evaluate(i, x) for i in space.members())
         zeros = len(space) - ones
         if ones != zeros:
-            return float(ones > zeros), False
-        if tie_break == "random":
-            return 0.5, True
-        return float(tie_break == "one"), False
+            return float(ones > zeros)
+        return {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
     # soa: the label whose side keeps the larger Ldim; ties go to 1, an empty side loses
     l0, l1 = (
         ldim_by_scan(cls, side.mask, scan_memo) if side else -1
         for side in (restrict(space, cls, x, 0), restrict(space, cls, x, 1))
     )
-    return float(l1 >= l0), False
+    return float(l1 >= l0)
 
 
 def _wm_prediction(eta: float, mistakes: list[int], advice: list[int]) -> float:
@@ -188,26 +188,26 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
     scan_memo: dict[int, int] = {}
     space = cls.full_space()
     mistakes = [0] * cls.d
-    p_ones, randomized = [], []
+    p_ones = []
     switch_round = min_mistakes_at_switch = None
     for t, (x, y) in enumerate(examples):
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
         advice = [cls.evaluate(i, x) for i in range(cls.d)]
         if engine is not None and space:
-            p, r = _engine_prediction(engine, config.tie_break, cls, scan_memo, space, x)
+            p = _engine_prediction(engine, config.tie_break, cls, scan_memo, space, x)
         elif kind in BASELINE_KINDS:
             raise WrongPhase("version space is empty")
         else:
-            p, r = _wm_prediction(eta, mistakes, advice), True
+            p = _wm_prediction(eta, mistakes, advice)
         p_ones.append(p)
-        randomized.append(r)
         was_alive = bool(space)
         space = restrict(space, cls, x, y)
         mistakes = [m + (a != y) for m, a in zip(mistakes, advice)]
         if kind in HYBRID_KINDS and was_alive and not space:
             switch_round, min_mistakes_at_switch = t + 1, min(mistakes)
 
+    randomized = [0.0 < p < 1.0 for p in p_ones]
     analytic = [p if y == 0 else 1.0 - p for p, (_, y) in zip(p_ones, examples)]
     trial_mistakes = None
     round_probs = analytic

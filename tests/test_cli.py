@@ -201,6 +201,18 @@ def test_sampled_prediction_mode(capsys):
     assert observed[1] == observed[0] < row["max_mistakes"]
 
 
+def test_certain_predictions_fill_max_mistakes_sampled_in_analytic_mode(capsys):
+    # one expert: eta = 0 and every P(predict 1) is 0 or 1, so neither learner
+    # randomizes and the realized maximum is the analytic one
+    code, out, err = run_argv(
+        "run --T 8 --d 1 --learners wm,wm_halving --case unrealizable".split(), capsys
+    )
+    assert code == 0, err
+    header, *rows = [line.split(",") for line in out.strip().splitlines()]
+    at = header.index("max_mistakes_sampled")
+    assert [row[at] for row in rows] == ["4.0", "4.0"]
+
+
 def test_json_format(capsys):
     code, out, _ = run_argv(
         ["--T", "4", "--d", "2", "--learners", "wm", "--format", "json"], capsys

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,13 +120,31 @@ def test_class_validation():
         FiniteHypothesisClass((), np.zeros((1, 0), dtype=np.int8))
 
 
-@pytest.mark.parametrize("entry", [257, 256, -255, 2])
+@pytest.mark.parametrize("entry", [257, 256, -255, 2, -1, 0.5, "a", None, float("nan")])
 def test_class_checks_entries_before_the_int8_cast(entry):
     """257 and 256 would wrap to 1 and 0 in int8; from_json would hit numpy's OverflowError."""
     with pytest.raises(ValueError, match="0 or 1"):
         FiniteHypothesisClass((0, 1), np.array([[entry, 0]]))
     with pytest.raises(ValueError, match="0 or 1"):
         FiniteHypothesisClass.from_json(json.dumps({"domain": [0, 1], "table": [[entry, 0]]}))
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_class_accepts_entries_equal_to_one(entry):
+    cls = FiniteHypothesisClass((0, 1), np.array([[entry, 0]]))
+    assert cls.table.dtype == np.int8 and cls.table.tolist() == [[1, 0]]
+
+
+def test_class_at_the_size_cap_validates_in_table_sized_memory():
+    # the CLI's largest class, d = 5,000 hypotheses over T = 10,000 points
+    table = np.random.default_rng(0).integers(0, 2, (5_000, 10_000), dtype=np.int8)
+    tracemalloc.start()
+    try:
+        FiniteHypothesisClass(tuple(range(table.shape[1])), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
 
 
 def test_json_round_trip(threshold8):

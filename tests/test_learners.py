@@ -11,6 +11,7 @@ from regretlab import (
     ExperimentCase,
     LdimComputer,
     LearnerConfig,
+    PermutationStream,
     Sampled,
     Sequence,
     UnknownInstance,
@@ -170,6 +171,24 @@ def test_wm_update_counts(threshold8):
         prefix = [(0, 1), (1, 1), (2, 1)][:rounds]
         w = wm_weights(np.array(mistakes), eta_for(5, rounds + 1))
         assert last_round("wm", cls, prefix, 3).p_one == pytest.approx(w[probe == 1].sum(), abs=1e-12)
+
+
+def test_wm_is_certain_on_columns_all_experts_label_alike():
+    # column 0 is all 1 and column 1 all 0; the random labels spread the experts'
+    # weights, and on this seed a total summed in another order than the mass on 1
+    # would read P(predict 1) a few ulp below 1.0 on column 0
+    rng = np.random.default_rng(0)
+    table = rng.integers(0, 2, (40, 12))
+    table[:, 0], table[:, 1] = 1, 0
+    cls = make_class(table)
+    seq = seq_of(zip(rng.integers(0, 12, 120).tolist(), rng.integers(0, 2, 120).tolist()))
+    trace = run(LearnerConfig("wm"), cls, seq)
+    ones = [r for r in trace.rounds if r.x == 0]
+    zeros = [r for r in trace.rounds if r.x == 1]
+    assert len(ones) == 10 and len(zeros) > 0
+    assert [(r.p_one, r.randomized) for r in ones] == [(1.0, False)] * len(ones)
+    assert [(r.p_one, r.randomized) for r in zeros] == [(0.0, False)] * len(zeros)
+    assert trace.randomized_rounds == seq.T - len(ones) - len(zeros)
 
 
 @given(
@@ -467,6 +486,34 @@ def test_run_matches_scalar_reference(kind, tie_break, inputs, eta_variant, mode
     assert_run_matches_reference(config, cls, seq, mode)
 
 
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(
+    inputs=class_and_sequence(max_len=5),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    eta_variant=st.sampled_from(("sqrt8", "sqrt2")),
+)
+@settings(max_examples=25, deadline=None)
+def test_kernels_flag_a_learner_iff_some_reference_p_is_strictly_between_0_and_1(
+    kind, inputs, tie_break, eta_variant
+):
+    # over every ordering; a class of one expert, or of columns all experts
+    # label alike, has wm and hybrid rounds with P(predict 1) exactly 0 or 1
+    cls, base = inputs
+    config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    stream = PermutationStream(base, exhaustive=True)
+    try:
+        rounds = [
+            r
+            for order in stream.orders()
+            for r in oracles.reference_run(config, cls, [base.examples[i] for i in order]).rounds
+        ]
+    except WrongPhase:
+        return
+    want = any(0.0 < r.p_one < 1.0 for r in rounds)
+    assert learners.run_batch_many((config,), cls, base, stream.blocks())[3].tolist() == [want]
+    assert learners.run_exhaustive_many((config,), cls, stream)[3].tolist() == [want]
+
+
 def assert_run_matches_reference(config, cls, seq, mode):
     try:
         want = oracles.reference_run(config, cls, seq, mode)
@@ -528,16 +575,16 @@ def assert_rounds_match_reference(config, cls, base, orders, mode):
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
     try:
-        wants = [oracles.reference_run(config, cls, seq) for seq in seqs]
+        for seq in seqs:
+            oracles.reference_run(config, cls, seq)
     except WrongPhase:
         with pytest.raises(WrongPhase):
             learners._batch_p_one((config,), cls, cols[positions], truth[positions])
         return
-    _, (engine_rounds,) = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
-    if config.kind == "wm":
-        assert engine_rounds.tolist() == [0] * len(orders)
-    else:
-        assert engine_rounds.tolist() == [base.T if w.switch_round is None else w.switch_round for w in wants]
+    _, engine_rounds = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+    # every learner shares the space, so its engine rounds are a hybrid's switch round, else T
+    wants = [oracles.reference_run(LearnerConfig("wm_consistent"), cls, seq) for seq in seqs]
+    assert engine_rounds.tolist() == [base.T if w.switch_round is None else w.switch_round for w in wants]
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -579,13 +626,13 @@ def test_row_rule_runs_only_on_kept_rounds(monkeypatch, case_kind):
     calls, row_rule = [], learners._row_rule
 
     def counting_row_rule(*args):
-        p_rows, has_engine = row_rule(*args)
+        p_rows = row_rule(*args)
 
         def counted(*rows):
             calls.append(len(rows[0]))
             return p_rows(*rows)
 
-        return counted, has_engine
+        return counted
 
     monkeypatch.setattr(learners, "_row_rule", counting_row_rule)
     rng = np.random.default_rng(1)
@@ -656,7 +703,7 @@ def test_kernel_engine_rounds_per_ordering(kind, inputs):
     config = LearnerConfig(kind)
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, (engine_rounds,) = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+    _, engine_rounds = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     emptied = mistake_profile(cls, base).min() > 0  # the final counts of every ordering
     for k, order in enumerate(orders):
         want = oracles.reference_run(config, cls, [base.examples[i] for i in order])
@@ -773,7 +820,7 @@ def test_batch_after_every_space_empties_matches_reference(kind):
     config = LearnerConfig(kind, eta_variant="sqrt2")
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, (engine_rounds,) = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+    _, engine_rounds = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     # every space empties, and many rounds follow the last one to empty
     assert mistake_profile(cls, base).min() > 0 and engine_rounds.max() < base.T - 10
     for mode in (ANALYTIC, Sampled(4, trials=3)):

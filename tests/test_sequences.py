@@ -213,6 +213,22 @@ def test_sampled_orders_follow_the_seeding_contract(monkeypatch, seed, max_rows,
     assert [len(block) for block in stream.blocks()] == lengths
 
 
+@pytest.mark.parametrize("T", [1, 2, 8, 1000])
+@pytest.mark.parametrize("count", [1, 5, BATCH_ORDERINGS + 6])
+@pytest.mark.parametrize("seed", [0, 123, (7, 0)])
+def test_sampled_blocks_are_per_row_permutation_draws(monkeypatch, T, count, seed):
+    # one shuffle per block draws what one permutation(T) per row draws, and
+    # leaves the generator where those calls leave it
+    default_rng, made = np.random.default_rng, []
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+    blocks = list(sequences._shuffled_blocks(T, count, seed))
+    want = default_rng(seed)
+    rows = np.array([want.permutation(T) for _ in range(count)], dtype=np.intp)
+    assert all(block.dtype == np.intp for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), rows)
+    assert len(made) == 1 and made[0].random() == want.random()
+
+
 def test_sampled_stream_count_validation():
     seq = label_sequence(ExperimentCase("realizable", 4, 2), make_domain(4))
     with pytest.raises(ValueError):
