@@ -3,15 +3,16 @@
 A run is a hypothesis class and a stream of reorderings of one base
 sequence. `evaluate_many` gives one report per learner from one pass over
 the stream for all of them: the learners share each ordering's mistake
-counts, version space, switch round, wm rows and, in sampled mode, draws.
-A sampled stream's blocks run through `learners.run_batch_many`, every
-ordering of a block together, round by round, from a fresh learner state;
-an exhaustive stream runs through `learners.run_exhaustive_many`, which
-predicts once per (prefix type counts, next example type) and reads every
-ordering's rounds from that table. An ordering's expected mistakes are exact
-in analytic mode and the mean over its sampled passes in sampled mode; a
-report gives their mean and maximum over the orderings, the most mistakes in
-one sampled pass (the two readings of "max mistakes" differ for randomized
+counts, version space, switch round, wm rows and, in sampled mode, draws. A
+sampled stream's blocks run through `learners.run_batch_many`, every
+ordering of a block together, round by round, from a fresh learner state; an
+exhaustive stream runs through `learners.run_exhaustive_many`, which
+predicts once per (prefix type counts, next example type) and sums that
+table, reading no ordering out in analytic mode (the last digit may differ
+from a per-ordering average). An ordering's expected mistakes are exact in
+analytic mode and the mean over its sampled passes in sampled mode; a report
+gives their mean and maximum over the orderings, the most mistakes in one
+sampled pass (the two readings of "max mistakes" differ for randomized
 learners), and the largest exact per-ordering expectation in both modes. A
 report is realizable when some hypothesis answers the whole base sequence,
 M(h*) = 0: its worst exact expectation is checked against the learner's
@@ -124,16 +125,18 @@ def evaluate_many(
     best, _ = best_mistakes(mistake_profile(cls, stream.base))
     distinct = tuple(dict.fromkeys(configs))
     if stream.exhaustive:
-        totals = run_exhaustive_many(distinct, cls, stream, mode)
+        means, tops, exact_tops, randomized, maxima = run_exhaustive_many(distinct, cls, stream, mode)
     else:
-        totals = run_batch_many(distinct, cls, stream.base, stream.blocks(), mode)
+        expected, exact, realized, randomized = run_batch_many(distinct, cls, stream.base, stream.blocks(), mode)
+        means, tops, exact_tops = expected.mean(axis=1), expected.max(axis=1), exact.max(axis=1)
+        maxima = realized.max(axis=1) if realized.size else None
     reports = {}
-    for config, per_ordering, exact, maxima, randomized in zip(distinct, *totals):
-        mean, max_mistakes = float(per_ordering.mean()), float(per_ordering.max())
-        if maxima.size:
-            max_sampled: float | None = float(maxima.max())
+    for i, config in enumerate(distinct):
+        mean, max_mistakes = float(means[i]), float(tops[i])
+        if maxima is not None:
+            max_sampled: float | None = float(maxima[i])
         else:  # analytic: a deterministic learner's maximum is realized, a randomized one's is not
-            max_sampled = None if randomized else max_mistakes
+            max_sampled = None if randomized[i] else max_mistakes
         reports[config] = PermutationReport(
             learner=config,
             T=stream.base.T,
@@ -143,7 +146,7 @@ def evaluate_many(
             expected_mistakes=mean,
             max_mistakes=max_mistakes,
             expected_regret=mean - best,
-            max_exact_mistakes=float(exact.max()),
+            max_exact_mistakes=float(exact_tops[i]),
             max_mistakes_sampled=max_sampled,
         )
     return [reports[config] for config in configs]

@@ -35,12 +35,14 @@ gives per-ordering totals of each learner over blocks of orderings, (B, T)
 position arrays such as `PermutationStream.blocks()` yields, and in sampled
 mode every learner reads the same draws of each ordering; `run` is the
 one-learner, one-ordering case that keeps the per-round record.
-`run_exhaustive_many` gives the same totals over every ordering of an
-exhaustive stream from one table of predictions, one per (prefix type
-counts, next example type). All of them predict through one row
-rule, `_row_rule`. Every total holds each ordering's exact expected mistakes
-beside what the mode gives. A round is randomized iff 0 < P(predict 1) < 1,
-and a learner iff some round of some ordering is.
+`run_exhaustive_many` gives each learner's mean and maxima over every
+ordering of an exhaustive stream as exact sums over one table of
+predictions, one per (prefix type counts, next example type), whose last
+digit may differ from a per-ordering average; only sampled mode reads each
+ordering out of it. All of them predict through one row rule, `_row_rule`.
+Every total holds each ordering's exact expected mistakes beside what the
+mode gives. A round is randomized iff 0 < P(predict 1) < 1, and a learner
+iff some round of some ordering is.
 """
 
 from __future__ import annotations
@@ -329,22 +331,32 @@ def run_exhaustive_many(
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
     mode: Analytic | Sampled = ANALYTIC,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What `run_batch_many` gives over every ordering of an exhaustive stream, in stream order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Each learner's statistics over every ordering of an exhaustive stream, (L,) each.
+
+    They are the mean and the maximum of the orderings' expected mistakes, the
+    maximum of their exact expectations, whether the learner randomized, and
+    the most mistakes in one sampled pass (None in analytic mode).
 
     A learner sees an example only through its type, the pair (advice column,
     label). So its state after a prefix is fixed by how many examples of each
     type the prefix holds: mistakes = counts @ wrong_of_type. The row rule
     runs once, on every pair (counts c <= n, next type k with c_k < n_k), for
-    all the learners, and each ordering reads its rounds from that table at
-    the mixed-radix ids of its prefix counts. Every such pair is the state
-    and next example of some ordering, so WrongPhase reads the whole table,
-    and the per-ordering totals and randomized flags are summed as
-    `run_batch_many` sums them.
+    all the learners. Every such pair is the state and next example of some
+    ordering, so WrongPhase and the randomized flags read the whole table, and
+    the exact statistics are sums over it, with q(c, k) the mistake
+    probability: the mean weights q(c, k) by the prod_j C(n_j, c_j) |c|!
+    (n_k - c_k) (T - |c| - 1)! <= T! orderings through (c, k) and divides once
+    by T!; the maximum is best(n), from best(c + e_k) = max best(c) + q(c, k)
+    one level |c| at a time, exactly the largest left-to-right sum of an
+    ordering's rounds since rounding is monotone. Their last digit may differ
+    from a mean of per-ordering totals. Only sampled mode reads each
+    ordering's rounds from the table, at the mixed-radix ids of its prefix
+    counts, for its draws.
     """
-    blocks = stream.blocks()  # refuses T above the cap before any allocation
     examples = stream.base.examples
     T = len(examples)
+    sequences.check_exhaustive(T)  # before any allocation
     cols, truth = _rounds(cls, examples)
     advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
     types: dict[tuple[bytes, bool], int] = {}
@@ -354,36 +366,55 @@ def run_exhaustive_many(
     )
     first = np.unique(type_of, return_index=True)[1]  # each type's first example
     type_cols, type_truth = cols[first], truth[first]
-    n = np.bincount(type_of, minlength=len(types))
+    K, L = len(types), len(configs)
+    n = np.bincount(type_of, minlength=K)
     stride = np.cumprod(n + 1) // (n + 1)  # exclusive: type k counts in units of stride[k]
     counts = np.arange(np.prod(n + 1))[:, None] // stride % (n + 1)  # (states, types)
     wrong = advice_of[type_cols] != type_truth[:, None]  # (types, d)
     state, k = np.nonzero(counts < n)
     p, _ = _row_rule(configs, cls, T)(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
-    table = np.zeros((len(configs), counts.size))  # learner l's p at (state s, type k): table[l, s * types + k]
-    table[:, state * len(types) + k] = p
+    q = np.where(type_truth[k], 1.0 - p, p)
+    randomized = ((0.0 < p) & (p < 1.0)).any(axis=1)
+
+    level = counts.sum(axis=1)
+    into = np.full((L, len(counts), K), -np.inf)  # q of the round entering state s by type k
+    into[:, state + stride[k], k] = q
+    before = np.arange(len(counts))[:, None] - stride  # wraps below 0 only where `into` is -inf
+    best = np.zeros((L, len(counts)))
+    for t in range(1, T + 1):
+        ids = np.flatnonzero(level == t)
+        best[:, ids] = (best[:, before[ids]] + into[:, ids]).max(axis=2)
+    if not isinstance(mode, Sampled):
+        fact = np.array([math.factorial(i) for i in range(T + 1)], dtype=np.int64)
+        prefixes = (fact[n] // (fact[counts] * fact[n - counts])).prod(axis=1) * fact[level]  # orderings of c
+        through = prefixes[state] * (n[k] - counts[state, k]) * fact[T - 1 - level[state]]
+        return (q * through).sum(axis=1) / fact[T], best[:, -1], best[:, -1], randomized, None
+
+    table = np.zeros((L, counts.size))  # learner l's p at (state s, type k): table[l, s * K + k]
+    table[:, state * K + k] = p
 
     def batches():
-        for positions in blocks:
+        for positions in stream.blocks():
             kinds = type_of[positions]
             steps = stride[kinds]
             # take returns C order, so each ordering's rounds are summed in one contiguous run
-            p_one = table.take((np.cumsum(steps, axis=1) - steps) * len(types) + kinds, axis=1)
+            p_one = table.take((np.cumsum(steps, axis=1) - steps) * K + kinds, axis=1)
             yield p_one, truth[positions]
 
-    return _totals(batches(), mode, len(configs))
+    expected, _, realized, _ = _totals(batches(), mode, L)
+    return expected.mean(axis=1), expected.max(axis=1), best[:, -1], randomized, realized.max(axis=1)
 
 
 def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four arrays `run_batch_many` returns, summed from batches.
+    """The four per-ordering arrays `run_batch_many` returns, summed from batches.
 
-    Each batch is (p_one, (L, B, T), ys, (B, T)); a learner randomized if
-    0 < p_one < 1 in some round of some batch. An ordering's exact
-    expectation sums its rounds' mistake probabilities, and is its expected
-    mistakes in analytic mode, where the realized maxima are empty. In
-    sampled mode ordering k overall draws from mode.seed + (k,), once for all
-    the learners, and its expected mistakes add each round's mistake count /
-    trials over the rounds.
+    Exhaustive streams come here in sampled mode only. Each batch is (p_one,
+    (L, B, T), ys, (B, T)); a learner randomized if 0 < p_one < 1 in some
+    round of some batch. An ordering's exact expectation sums its rounds'
+    mistake probabilities, and is its expected mistakes in analytic mode,
+    where the realized maxima are empty. In sampled mode ordering k overall
+    draws from mode.seed + (k,), once for all the learners, and its expected
+    mistakes add each round's mistake count / trials over the rounds.
     """
     expected, exact, realized = [], [], []
     randomized = np.zeros(L, dtype=bool)

@@ -118,14 +118,17 @@ class PermutationStream:
         T = self.base.T
         if not self.exhaustive:
             return _shuffled_blocks(T, self.count, self.seed)
-        if T > EXHAUSTIVE_T_CAP:
-            raise FactorialCapExceeded(
-                f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}"
-            )
+        check_exhaustive(T)
         L = 0
         while L < T and math.factorial(L + 1) <= BATCH_ORDERINGS:
             L += 1
         return _permutation_blocks(T, L)
+
+
+def check_exhaustive(T: int) -> None:
+    """Refuse an exhaustive stream of T > EXHAUSTIVE_T_CAP rounds, before anything is built."""
+    if T > EXHAUSTIVE_T_CAP:
+        raise FactorialCapExceeded(f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}")
 
 
 def _shuffled_blocks(T: int, count: int, seed: int | tuple[int, ...]) -> Iterator[np.ndarray]:

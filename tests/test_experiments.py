@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretlab import experiments, sequences
+from regretlab import experiments, learners, sequences
 from regretlab import (
     ANALYTIC,
     ExperimentCase,
@@ -148,20 +148,23 @@ def test_oversize_exhaustive_stream_refused_before_allocation():
 
 
 @st.composite
-def repetitive_class_and_sequence(draw):
-    """A random class whose domain repeats columns, and a sequence (T <= 6) over few points.
+def repetitive_class_and_sequence(draw, max_d=4, max_T=6, constant_columns=False):
+    """A random class whose domain repeats columns, and a sequence (T <= max_T) over few points.
 
     Labels come from one member (realizable) or at random, so examples repeat
-    and the same advice column meets both labels.
+    and the same advice column meets both labels. With constant_columns the
+    domain also holds a column no expert labels 1 and one every expert does.
     """
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_d))
     distinct = draw(st.lists(st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=1, max_size=3))
+    if constant_columns:
+        distinct += [[0] * d, [1] * d]
     n = draw(st.integers(len(distinct), 5))
     picks = list(range(len(distinct))) + draw(
         st.lists(st.integers(0, len(distinct) - 1), min_size=n - len(distinct), max_size=n - len(distinct))
     )
     cls = make_class(np.array(distinct).T[:, picks])
-    xs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    xs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_T))
     if draw(st.booleans()):
         target = draw(st.integers(0, d - 1))
         ys = [int(cls.table[target, x]) for x in xs]
@@ -205,7 +208,61 @@ def test_exhaustive_summary_matches_enumeration(kind, inputs, tie_break, eta_var
             evaluate_many((config,), cls, stream, mode)
         return
     with mock.patch.object(sequences, "BATCH_ORDERINGS", block_rows):  # orderings cross blocks
-        assert summary(config, cls, stream, mode) == want
+        mean, top, sampled, exact_top = summary(config, cls, stream, mode)
+    # a realized maximum, a deterministic total or None is exact; the exact statistics of an
+    # analytic run are sums over the type table, which round apart from a per-ordering mean
+    assert sampled == want[2]
+    assert max(abs(mean - want[0]), abs(top - want[1]), abs(exact_top - want[3])) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(
+    inputs=repetitive_class_and_sequence(max_d=5, max_T=7, constant_columns=True),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    eta_variant=st.sampled_from(ETA_VARIANTS),
+    mode=st.one_of(st.just(ANALYTIC), st.builds(Sampled, seed=st.integers(0, 99), trials=st.integers(1, 2))),
+)
+@settings(max_examples=25, deadline=None)
+def test_type_table_sums_match_enumeration(kind, inputs, tie_break, eta_variant, mode):
+    # the exact mean and maxima from the type table, against the kernel over all T! orderings
+    cls, base = inputs
+    config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
+    stream = PermutationStream(base)
+    try:
+        want = oracles.exhaustive_reference(config, cls, base, mode)
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            learners.run_exhaustive_many((config,), cls, stream, mode)
+        return
+    mean, top, exact_top, randomized, realized = (
+        None if v is None else v[0] for v in learners.run_exhaustive_many((config,), cls, stream, mode)
+    )
+    assert max(abs(mean - want[0]), abs(top - want[1]), abs(exact_top - want[3])) <= 1e-12
+    if isinstance(mode, Sampled):
+        assert realized == want[2]
+    else:
+        assert realized is None and randomized == (want[2] is None)
+
+
+def test_analytic_exhaustive_statistics_enumerate_no_ordering(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("orderings enumerated")
+
+    monkeypatch.setattr(sequences, "_permutation_blocks", no_enumeration)
+    case, cls, stream = small_stream(T=EXHAUSTIVE_T_CAP)
+    configs = [LearnerConfig(kind) for kind in ("wm", "wm_halving", "soa")]
+    reports = evaluate_many(configs, cls, stream)
+    assert [r.permutation_count for r in reports] == [math.factorial(EXHAUSTIVE_T_CAP)] * 3
+    # the means and maxima of the 362,880 orderings, frozen from their enumeration
+    got = [(r.expected_mistakes, r.max_mistakes, r.max_mistakes_sampled) for r in reports]
+    assert got[1:] == [(0.5, 1.0, 1.0)] * 2
+    assert got[0][:2] == pytest.approx((1.193299350148777, 1.2391648186200404), abs=1e-12)
+    assert got[0][2] is None
+    with pytest.raises(AssertionError, match="orderings enumerated"):  # sampled mode still enumerates
+        evaluate_many(configs, cls, stream, Sampled(1))
+    _, cls, oversize = small_stream(T=EXHAUSTIVE_T_CAP + 1)
+    with pytest.raises(FactorialCapExceeded):
+        evaluate_many(configs, cls, oversize)
 
 
 def test_exhaustive_sampled_draws_follow_the_stream_index_across_blocks():
