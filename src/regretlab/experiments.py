@@ -35,6 +35,7 @@ from .learners import (
     Analytic,
     LearnerConfig,
     Sampled,
+    ordering_statistics,
     run_batch_many,
     run_exhaustive_many,
 )
@@ -125,11 +126,10 @@ def evaluate_many(
     best, _ = best_mistakes(mistake_profile(cls, stream.base))
     distinct = tuple(dict.fromkeys(configs))
     if stream.exhaustive:
-        means, tops, exact_tops, randomized, maxima = run_exhaustive_many(distinct, cls, stream, mode)
+        statistics = run_exhaustive_many(distinct, cls, stream, mode)
     else:
-        expected, exact, realized, randomized = run_batch_many(distinct, cls, stream.base, stream.blocks(), mode)
-        means, tops, exact_tops = expected.mean(axis=1), expected.max(axis=1), exact.max(axis=1)
-        maxima = realized.max(axis=1) if realized.size else None
+        statistics = ordering_statistics(*run_batch_many(distinct, cls, stream.base, stream.blocks(), mode))
+    means, tops, exact_tops, randomized, maxima = statistics
     reports = {}
     for i, config in enumerate(distinct):
         mean, max_mistakes = float(means[i]), float(tops[i])

@@ -35,14 +35,13 @@ gives per-ordering totals of each learner over blocks of orderings, (B, T)
 position arrays such as `PermutationStream.blocks()` yields, and in sampled
 mode every learner reads the same draws of each ordering; `run` is the
 one-learner, one-ordering case that keeps the per-round record.
-`run_exhaustive_many` gives each learner's mean and maxima over every
-ordering of an exhaustive stream as exact sums over one table of
-predictions, one per (prefix type counts, next example type), whose last
-digit may differ from a per-ordering average; only sampled mode reads each
-ordering out of it. All of them predict through one row rule, `_row_rule`.
-Every total holds each ordering's exact expected mistakes beside what the
-mode gives. A round is randomized iff 0 < P(predict 1) < 1, and a learner
-iff some round of some ordering is.
+`run_exhaustive_many` gives each learner's mean and maxima over every ordering
+of an exhaustive stream as exact sums over one table of predictions, one per
+(prefix type counts, next example type), whose last digit may differ from a
+per-ordering average; only sampled mode reads each ordering out of it. All of
+them predict through one row rule, `_row_rule`. Every total holds each
+ordering's exact expected mistakes beside what the mode gives. A round is
+randomized iff 0 < P(predict 1) < 1, and a learner iff some round is.
 """
 
 from __future__ import annotations
@@ -343,16 +342,15 @@ def run_exhaustive_many(
     type the prefix holds: mistakes = counts @ wrong_of_type. The row rule
     runs once, on every pair (counts c <= n, next type k with c_k < n_k), for
     all the learners. Every such pair is the state and next example of some
-    ordering, so WrongPhase and the randomized flags read the whole table, and
-    the exact statistics are sums over it, with q(c, k) the mistake
-    probability: the mean weights q(c, k) by the prod_j C(n_j, c_j) |c|!
-    (n_k - c_k) (T - |c| - 1)! <= T! orderings through (c, k) and divides once
-    by T!; the maximum is best(n), from best(c + e_k) = max best(c) + q(c, k)
-    one level |c| at a time, exactly the largest left-to-right sum of an
-    ordering's rounds since rounding is monotone. Their last digit may differ
-    from a mean of per-ordering totals. Only sampled mode reads each
-    ordering's rounds from the table, at the mixed-radix ids of its prefix
-    counts, for its draws.
+    ordering, so WrongPhase and the randomized flags read the whole table.
+    With q(c, k) the mistake probability, the mean weights q(c, k) by the
+    prod_j C(n_j, c_j) |c|! (n_k - c_k) (T - |c| - 1)! <= T! orderings through
+    (c, k) and divides once by T!, and the exact maximum is best(n) in both
+    modes, from best(c + e_k) = max best(c) + q(c, k) one level |c| at a time:
+    exactly the largest left-to-right sum of an ordering's rounds, as rounding
+    is monotone. These exact sums may differ in the last digit from a
+    per-ordering mean. Only sampled mode reads each ordering's rounds from the
+    table, at the mixed-radix ids of its prefix counts, for its draws.
     """
     examples = stream.base.examples
     T = len(examples)
@@ -375,7 +373,6 @@ def run_exhaustive_many(
     p, _ = _row_rule(configs, cls, T)(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
     q = np.where(type_truth[k], 1.0 - p, p)
     randomized = ((0.0 < p) & (p < 1.0)).any(axis=1)
-
     level = counts.sum(axis=1)
     into = np.full((L, len(counts), K), -np.inf)  # q of the round entering state s by type k
     into[:, state + stride[k], k] = q
@@ -402,7 +399,13 @@ def run_exhaustive_many(
             yield p_one, truth[positions]
 
     expected, _, realized, _ = _totals(batches(), mode, L)
-    return expected.mean(axis=1), expected.max(axis=1), best[:, -1], randomized, realized.max(axis=1)
+    return ordering_statistics(expected, best[:, -1:], realized, randomized)
+
+
+def ordering_statistics(expected, exact, realized, randomized) -> tuple:
+    """`run_exhaustive_many`'s five statistics, from `run_batch_many`'s per-ordering arrays."""
+    maxima = realized.max(axis=1) if realized.size else None
+    return expected.mean(axis=1), expected.max(axis=1), exact.max(axis=1), randomized, maxima
 
 
 def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
