@@ -137,9 +137,8 @@ def sample_mistakes(
     trials: int,
     p_one: np.ndarray,
     truth: np.ndarray,
-    keep_trials: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(most mistakes in one pass, mistake frequency per round, mistakes per pass) of sampled passes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(most mistakes in one pass, mistake frequency per round) of sampled passes.
 
     p_one, (L, B, T), is each learner's P(predict 1) per round of B orderings
     with true labels truth, (B, T). Ordering b draws its `trials` passes from
@@ -147,9 +146,8 @@ def sample_mistakes(
     at most DRAW_BLOCK draws, filled in place, holds the passes of
     consecutive orderings or part of one ordering's passes (at least one
     pass); the generator fills sequentially, so the result equals one
-    (trials, T) draw per ordering. The results are (L, B), (L, B, T) and
-    (L, B, trials) arrays; the last is None unless keep_trials, so memory
-    does not grow with `trials`.
+    (trials, T) draw per ordering. The results are (L, B) and (L, B, T)
+    arrays, so memory does not grow with `trials`.
     """
     L, B, T = p_one.shape
     rows = max(1, DRAW_BLOCK // max(T, 1))  # passes a block holds
@@ -158,23 +156,18 @@ def sample_mistakes(
     draws = np.empty((min(orderings, B), passes, T))
     most = np.zeros((L, B), dtype=np.int64)
     wrong_per_round = np.zeros((L, B, T))  # integer counts until the division
-    trial_mistakes = np.empty((L, B, trials), dtype=np.int64) if keep_trials else None
     for start in range(0, B, orderings):
         stop = min(start + orderings, B)
         rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
         for first in range(0, trials, passes):
-            last = min(first + passes, trials)
-            block = draws[: stop - start, : last - first]
+            block = draws[: stop - start, : min(first + passes, trials) - first]
             for rng, out in zip(rngs, block):
                 rng.random(out=out)
             wrong = (block < p_one[:, start:stop, None]) != truth[start:stop, None]  # (L, orderings, passes, T)
-            per_pass = wrong.sum(axis=3)
-            np.maximum(most[:, start:stop], per_pass.max(axis=2), out=most[:, start:stop])
+            np.maximum(most[:, start:stop], wrong.sum(axis=3).max(axis=2), out=most[:, start:stop])
             wrong_per_round[:, start:stop] += wrong.sum(axis=2)
-            if keep_trials:
-                trial_mistakes[:, start:stop, first:last] = per_pass
     wrong_per_round /= trials
-    return most, wrong_per_round, trial_mistakes
+    return most, wrong_per_round
 
 
 @dataclass(frozen=True)
@@ -190,9 +183,9 @@ class RoundRecord:
 class RunTrace:
     """Per-round record of one learner pass plus aggregate totals.
 
-    min_mistakes_at_switch is 1 whenever it is set: the expert that was
-    consistent through round switch_round - 1 errs exactly once, at round
-    switch_round, and no expert is error-free once the space is empty.
+    switch_round is the round in which a hybrid's version space emptied, and
+    None for other learners or a space that never empties; max_mistakes_sampled
+    is the most mistakes in one sampled pass, and None in analytic mode.
     """
 
     rounds: list[RoundRecord]
@@ -200,8 +193,7 @@ class RunTrace:
     deterministic_mistakes: int
     randomized_rounds: int = 0
     switch_round: int | None = None
-    min_mistakes_at_switch: int | None = None
-    trial_mistakes: np.ndarray | None = None
+    max_mistakes_sampled: int | None = None
 
     def to_jsonl(self) -> str:
         lines = [
@@ -232,31 +224,23 @@ def run(
     probability. Sampled mode replays the same per-round prediction
     probabilities through a seeded generator; learner state never depends on
     the learner's own predictions, so the probabilities are shared across
-    trials. A round is randomized iff 0 < P(predict 1) < 1; the other
-    rounds read the same in both modes. A hybrid whose version space empties
-    reports switch_round, the number of rounds its engine predicted, and the
-    fewest mistakes any expert made in them.
+    trials. It gives each round's mistake frequency over the passes and the
+    most mistakes in one pass. A round is randomized iff 0 < P(predict 1) < 1;
+    the other rounds read the same in both modes. A hybrid whose version
+    space empties reports switch_round, the round it emptied in, the last
+    its engine predicted.
     """
     examples = tuple(seq)
     cols, truth = _rounds(cls, examples)
-    p_ones, engine_rounds = _batch_p_one((config,), cls, cols[None], truth[None])
-    p_ones, engine_rounds = p_ones[0, 0], engine_rounds[0]
+    p_ones, switch = _batch_p_one((config,), cls, cols[None], truth[None])
+    p_ones, switch = p_ones[0, 0], int(switch[0])
     randomized = (0.0 < p_ones) & (p_ones < 1.0)
 
     analytic_probs = np.where(truth, 1.0 - p_ones, p_ones)
-    trial_mistakes = None
+    round_probs, most = analytic_probs, None
     if isinstance(mode, Sampled):
-        _, round_probs, trial_mistakes = sample_mistakes(
-            [mode.seed], mode.trials, p_ones[None, None], truth[None], keep_trials=True
-        )
-        round_probs, trial_mistakes = round_probs[0, 0], trial_mistakes[0, 0]
-    else:
-        round_probs = analytic_probs
-
-    switch_round = min_mistakes_at_switch = None
-    # the space emptied iff every expert errs on some round; the last to leave it erred once
-    if config.kind in HYBRID_KINDS and (cls.table[:, cols] != truth).any(axis=1).all():
-        switch_round, min_mistakes_at_switch = int(engine_rounds), 1
+        most, round_probs = sample_mistakes([mode.seed], mode.trials, p_ones[None, None], truth[None])
+        most, round_probs = int(most[0, 0]), round_probs[0, 0]
 
     deterministic = int(analytic_probs[~randomized].sum())
     rounds: list[RoundRecord] = []
@@ -270,9 +254,8 @@ def run(
         expected_mistakes=float(round_probs.sum()),
         deterministic_mistakes=deterministic,
         randomized_rounds=int(randomized.sum()),
-        switch_round=switch_round,
-        min_mistakes_at_switch=min_mistakes_at_switch,
-        trial_mistakes=trial_mistakes,
+        switch_round=switch if switch and config.kind in HYBRID_KINDS else None,
+        max_mistakes_sampled=most,
     )
 
 
@@ -429,7 +412,7 @@ def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.n
         exact.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
         B = p_one.shape[1]
         if isinstance(mode, Sampled):
-            maxima, round_probs, _ = sample_mistakes(
+            maxima, round_probs = sample_mistakes(
                 [seed + (index + k,) for k in range(B)], mode.trials, p_one, ys
             )
             expected.append(round_probs.sum(axis=2))
@@ -450,14 +433,15 @@ def _batch_p_one(
     cols: np.ndarray,
     truth: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """P(predict 1) of each learner, (L, B, T), for B orderings at once, and the engine round counts, (B,).
+    """P(predict 1) of each learner, (L, B, T), for B orderings at once, and their switch rounds, (B,).
 
     Row b's state is one row of expert mistake counts, shared by every
     learner, and round t's advice is advice_of[cols[:, t]], one (B, d) array;
     the row rule maps both to the round's predictions. A version space never
-    grows, and every learner shares it, so a learner with an engine predicts
-    by it in the first engine_rounds[b] rounds of row b and by wm in the
-    rest; engine_rounds[b] is T unless row b's space empties.
+    grows, and every learner shares it, so switch[b] is the round, counted
+    from 1, in which row b's space empties, or 0 if it never does. A learner
+    with an engine predicts by it in the first switch[b] rounds of row b, or
+    all T if switch[b] is 0, and by wm in the rest.
 
     The loop runs the rounds off blank columns (columns no hypothesis labels
     1) plus each row's first blank round labeled 1. That round must run: it
@@ -488,12 +472,12 @@ def _batch_p_one(
         mistakes += advice != kept_truth[:, k, None]
     p_one = np.zeros((len(configs), B, T))
     p_one[:, kept] = kept_p_one.reshape(len(configs), B * K)
-    engine_rounds = np.full(B, T)
+    switch = np.zeros(B, dtype=np.int64)
     emptied = mistakes.min(axis=1) > 0
-    engine_rounds[emptied] = pos[emptied, space_rounds[emptied] - 1] + 1
-    if any(c.kind in BASELINE_KINDS for c in configs) and (engine_rounds < T).any():
+    switch[emptied] = pos[emptied, space_rounds[emptied] - 1] + 1
+    if any(c.kind in BASELINE_KINDS for c in configs) and ((0 < switch) & (switch < T)).any():
         raise WrongPhase("version space is empty; the sequence is not realizable")
-    return p_one, engine_rounds
+    return p_one, switch
 
 
 def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T: int):

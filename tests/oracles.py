@@ -189,7 +189,7 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
     space = cls.full_space()
     mistakes = [0] * cls.d
     p_ones = []
-    switch_round = min_mistakes_at_switch = None
+    switch_round = None
     for t, (x, y) in enumerate(examples):
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
@@ -205,17 +205,16 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
         space = restrict(space, cls, x, y)
         mistakes = [m + (a != y) for m, a in zip(mistakes, advice)]
         if kind in HYBRID_KINDS and was_alive and not space:
-            switch_round, min_mistakes_at_switch = t + 1, min(mistakes)
+            switch_round = t + 1
 
     randomized = [0.0 < p < 1.0 for p in p_ones]
     analytic = [p if y == 0 else 1.0 - p for p, (_, y) in zip(p_ones, examples)]
-    trial_mistakes = None
-    round_probs = analytic
+    most, round_probs = None, analytic
     if isinstance(mode, Sampled):
         draws = np.random.default_rng(mode.seed).random((mode.trials, len(examples)))
         truth = np.array([y == 1 for _, y in examples], dtype=bool)
         wrong = (draws < np.array(p_ones)) != truth
-        trial_mistakes = wrong.sum(axis=1)
+        most = int(wrong.sum(axis=1).max())
         round_probs = wrong.mean(axis=0).tolist()
     return RunTrace(
         rounds=[
@@ -226,8 +225,7 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
         deterministic_mistakes=int(sum(a for a, r in zip(analytic, randomized) if not r)),
         randomized_rounds=sum(randomized),
         switch_round=switch_round,
-        min_mistakes_at_switch=min_mistakes_at_switch,
-        trial_mistakes=trial_mistakes,
+        max_mistakes_sampled=most,
     )
 
 
@@ -258,8 +256,8 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
             perm_mode = Sampled(seed + (k,), mode.trials)
         trace = reference_run(config, cls, seq, perm_mode)
         expected.append(trace.expected_mistakes)
-        if trace.trial_mistakes is not None:
-            realized.append(int(trace.trial_mistakes.max()))
+        if trace.max_mistakes_sampled is not None:
+            realized.append(trace.max_mistakes_sampled)
         randomized = randomized or trace.randomized_rounds > 0
     return expected, realized, randomized
 

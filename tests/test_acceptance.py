@@ -226,7 +226,8 @@ def property_suite():
                     f"agnostic {kind} d={cls.d} T={T}: regret {regret:.4f} > {bound:.4f}"
                 )
             if trace.switch_round is not None:
-                switches.append(trace.min_mistakes_at_switch)
+                prefix = Sequence(seq_a.examples[: trace.switch_round])
+                switches.append(int(mistake_profile(cls, prefix).min()))
     return cases, violations, switches
 
 
@@ -285,11 +286,11 @@ def test_criterion_7_analytic_sampled_agreement():
             tuple((int(x), int(y)) for x, y in zip(rng.integers(0, n, T), rng.integers(0, 2, T)))
         )
         config = LearnerConfig("wm", eta_variant="sqrt8" if i % 2 else "sqrt2")
-        analytic = run(config, cls, seq, collect_rounds=False).expected_mistakes
-        sampled = run(config, cls, seq, Sampled(seed=(SEED, 1, i), trials=10_000))
-        totals = sampled.trial_mistakes
-        se = totals.std(ddof=1) / math.sqrt(len(totals))
-        gap = abs(float(totals.mean()) - analytic)
+        analytic = run(config, cls, seq)
+        sampled = run(config, cls, seq, Sampled(seed=(SEED, 1, i), trials=10_000), collect_rounds=False)
+        # the rounds are independent Bernoulli draws, so a pass's variance is sum q (1 - q)
+        se = math.sqrt(sum(r.mistake_prob * (1 - r.mistake_prob) for r in analytic.rounds) / 10_000)
+        gap = abs(sampled.expected_mistakes - analytic.expected_mistakes)
         agreements.append(gap <= 3 * se + 1e-9)
         if se > 0:
             worst = max(worst, gap / se)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +242,7 @@ def test_hybrid_switch_on_all_ones(threshold8, all_ones8):
     assert trace.switch_round is not None
     assert trace.switch_round <= len(all_ones8)
     # the expert consistent through round s - 1 errs once at round s; none is error-free
-    assert trace.min_mistakes_at_switch == 1
+    assert mistake_profile(threshold8, seq_of(all_ones8.examples[: trace.switch_round])).min() == 1
 
 
 def test_baseline_raises_after_space_empties(threshold8, all_ones8):
@@ -309,15 +310,16 @@ def test_deterministic_learner_same_trace_both_modes(threshold8, realizable8):
 def test_sampled_mode_reproducible(threshold8, all_ones8):
     a = run(LearnerConfig("wm"), threshold8, all_ones8, Sampled(seed=5, trials=50))
     b = run(LearnerConfig("wm"), threshold8, all_ones8, Sampled(seed=5, trials=50))
-    assert (a.trial_mistakes == b.trial_mistakes).all()
+    assert a.max_mistakes_sampled == b.max_mistakes_sampled
+    assert [r.mistake_prob for r in a.rounds] == [r.mistake_prob for r in b.rounds]
 
 
 def test_sampled_mean_tracks_analytic(threshold8, all_ones8):
     analytic = run(LearnerConfig("wm"), threshold8, all_ones8)
     sampled = run(LearnerConfig("wm"), threshold8, all_ones8, Sampled(seed=11, trials=4000))
-    totals = sampled.trial_mistakes
-    se = totals.std(ddof=1) / math.sqrt(len(totals))
-    assert abs(totals.mean() - analytic.expected_mistakes) <= 3 * se + 1e-9
+    # the rounds are independent Bernoulli draws, so a pass's variance is sum q (1 - q)
+    se = math.sqrt(sum(r.mistake_prob * (1 - r.mistake_prob) for r in analytic.rounds) / 4000)
+    assert abs(sampled.expected_mistakes - analytic.expected_mistakes) <= 3 * se + 1e-9
 
 
 # --- structural invariants ------------------------------------------------------
@@ -382,9 +384,8 @@ def test_hybrid_switch_requires_all_experts_wrong(case):
     trace = run(LearnerConfig("wm_halving"), cls, seq_of(pairs))
     if trace.switch_round is not None:
         # the expert consistent through round s - 1 errs once at round s; none is error-free
-        assert trace.min_mistakes_at_switch == 1
-        prefix = seq_of(pairs[: trace.switch_round])
-        assert mistake_profile(cls, prefix).min() >= 1
+        assert mistake_profile(cls, seq_of(pairs[: trace.switch_round - 1])).min() == 0
+        assert mistake_profile(cls, seq_of(pairs[: trace.switch_round])).min() == 1
 
 
 @given(class_with_labels())
@@ -401,10 +402,10 @@ def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, 
     p_one = np.array([r.p_one for r in trace.rounds])
     truth = np.array([r.y == 1 for r in trace.rounds])
     wrong = (np.random.default_rng(3).random((23, len(all_ones8))) < p_one) != truth
-    assert trace.trial_mistakes.tolist() == wrong.sum(axis=1).tolist()
+    assert trace.max_mistakes_sampled == wrong.sum(axis=1).max()
     assert [r.mistake_prob for r in trace.rounds] == wrong.mean(axis=0).tolist()
-    most, round_probs, trials = learners.sample_mistakes([3], 23, p_one[None, None], truth[None])
-    assert (most.tolist(), trials) == ([[wrong.sum(axis=1).max()]], None)
+    most, round_probs = learners.sample_mistakes([3], 23, p_one[None, None], truth[None])
+    assert most.tolist() == [[wrong.sum(axis=1).max()]]
     assert round_probs.tolist() == [[wrong.mean(axis=0).tolist()]]
 
 
@@ -527,12 +528,8 @@ def assert_run_matches_reference(config, cls, seq, mode):
         assert abs(g.p_one - w.p_one) <= 1e-12
         assert abs(g.mistake_prob - w.mistake_prob) <= 1e-12
     assert abs(got.expected_mistakes - want.expected_mistakes) <= 1e-12
-    for field in ("switch_round", "min_mistakes_at_switch", "randomized_rounds", "deterministic_mistakes"):
+    for field in ("switch_round", "randomized_rounds", "deterministic_mistakes", "max_mistakes_sampled"):
         assert getattr(got, field) == getattr(want, field), field
-    if want.trial_mistakes is None:
-        assert got.trial_mistakes is None
-    else:
-        assert got.trial_mistakes.tolist() == want.trial_mistakes.tolist()
 
 
 # --- blank columns: instances that no hypothesis labels 1 -------------------------
@@ -567,7 +564,7 @@ def blank_column_inputs(draw):
 
 
 def assert_rounds_match_reference(config, cls, base, orders, mode):
-    """`run` of each ordering, `oracles.batch_totals` and the kernel's per-row engine rounds against `oracles.reference_run`."""
+    """`run` of each ordering, `oracles.batch_totals` and the kernel's per-row switch rounds against `oracles.reference_run`."""
     seqs = [seq_of(base.examples[i] for i in order) for order in orders]
     for seq in seqs:
         assert_run_matches_reference(config, cls, seq, mode)
@@ -581,10 +578,10 @@ def assert_rounds_match_reference(config, cls, base, orders, mode):
         with pytest.raises(WrongPhase):
             learners._batch_p_one((config,), cls, cols[positions], truth[positions])
         return
-    _, engine_rounds = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
-    # every learner shares the space, so its engine rounds are a hybrid's switch round, else T
+    _, switch = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+    # every learner shares the space, so a row's switch is a hybrid's switch round, else 0
     wants = [oracles.reference_run(LearnerConfig("wm_consistent"), cls, seq) for seq in seqs]
-    assert engine_rounds.tolist() == [base.T if w.switch_round is None else w.switch_round for w in wants]
+    assert switch.tolist() == [w.switch_round or 0 for w in wants]
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -692,7 +689,7 @@ def test_sampled_orderings_share_draw_blocks(monkeypatch, threshold8, all_ones8)
             for l, config in enumerate(configs):
                 trace = run(config, threshold8, seq, Sampled((4, 1, k), trials=3))
                 assert expected[l, k] == trace.expected_mistakes
-                assert realized[l, k] == trace.trial_mistakes.max()
+                assert realized[l, k] == trace.max_mistakes_sampled
 
 
 @pytest.mark.parametrize("kind", HYBRID_KINDS)
@@ -703,12 +700,12 @@ def test_kernel_engine_rounds_per_ordering(kind, inputs):
     config = LearnerConfig(kind)
     cols, truth = learners._rounds(cls, base.examples)
     positions = np.array(orders)
-    _, engine_rounds = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
+    _, switch = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     emptied = mistake_profile(cls, base).min() > 0  # the final counts of every ordering
     for k, order in enumerate(orders):
         want = oracles.reference_run(config, cls, [base.examples[i] for i in order])
         assert (want.switch_round is not None) == emptied
-        assert engine_rounds[k] == (want.switch_round if emptied else base.T)
+        assert switch[k] == (want.switch_round if emptied else 0)
 
 
 @pytest.mark.parametrize("kind", ["wm_soa", "wm_halving", "soa"])
@@ -748,7 +745,7 @@ def test_space_that_empties_on_the_final_round(threshold8):
     assert mistake_profile(threshold8, seq).tolist() == [1, 2, 2, 2, 2]
     for kind in HYBRID_KINDS:
         trace = run(LearnerConfig(kind), threshold8, seq)
-        assert (trace.switch_round, trace.min_mistakes_at_switch, trace.randomized_rounds) == (3, 1, 0)
+        assert (trace.switch_round, trace.randomized_rounds) == (3, 0)
     for kind in ("consistent", "halving", "soa"):
         assert run(LearnerConfig(kind), threshold8, seq).switch_round is None
 
@@ -840,3 +837,25 @@ def test_wm_batch_calls_exp_once(monkeypatch, T):
     monkeypatch.setattr(learners.np, "exp", counting_exp)
     oracles.batch_totals(LearnerConfig("wm"), cls, base, [range(T), range(T - 1, -1, -1)])
     assert len(calls) == 1
+
+
+# --- memory: a single-sequence run holds no per-pass array and does not rescan the class
+
+
+def traced_run(*args, **kwargs):
+    """run(*args, **kwargs) and the peak Python allocation, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        return run(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_does_not_grow_with_trials_or_rescan_the_class():
+    cls, base = make_case_inputs(ExperimentCase("unrealizable", 8, 4))
+    config = LearnerConfig("wm_halving")
+    assert traced_run(config, cls, base, Sampled(1, trials=10**6))[1] < 2 << 20
+    # a hybrid whose space empties: its switch is read off the kernel, not a (d, T) rescan
+    cls, base = make_case_inputs(ExperimentCase("unrealizable", 4000, 2000))
+    trace, peak = traced_run(config, cls, base, collect_rounds=False)
+    assert trace.switch_round is not None and peak < 1.5 * cls.table.nbytes
