@@ -4,13 +4,16 @@ A hypothesis class is a dense d x n binary table: row i holds hypothesis i's
 label on each domain point. `VersionSpace`, the Littlestone-dimension
 recursion and SOA's comparisons hold a version space as a bitmask over
 hypothesis indices, which keeps them exact and cheap even at d = 500; the
-learners' batched kernel filters on rows of mistake counts instead.
+learners' batched kernel filters on rows of mistake counts instead. A class
+builds its per-column bitmasks and the kernel's bool transpose of its table
+on first use, so a class that never reaches SOA never builds the masks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -106,7 +109,6 @@ class FiniteHypothesisClass:
     domain: tuple[int, ...]
     table: np.ndarray
     _col: dict[int, int] = field(init=False, repr=False)
-    _ones: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         table = np.asarray(self.table)  # checked as given: an int8 cast would wrap 257 to 1
@@ -122,8 +124,6 @@ class FiniteHypothesisClass:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "domain", tuple(int(x) for x in self.domain))
         object.__setattr__(self, "_col", {x: j for j, x in enumerate(self.domain)})
-        # per-column bitmask of the hypotheses predicting 1
-        object.__setattr__(self, "_ones", tuple(bitmasks(table.T)))
 
     @property
     def d(self) -> int:
@@ -142,6 +142,21 @@ class FiniteHypothesisClass:
     def column(self, x: int) -> np.ndarray:
         """Advice vector: every hypothesis's label on x."""
         return self.table[:, self.column_index(x)]
+
+    @cached_property
+    def advice_of(self) -> np.ndarray:
+        """The table transposed to bool, (n, d): row j is every hypothesis's label on column j.
+
+        Built on first use, once per class; the learners' kernel reads it.
+        """
+        advice = np.ascontiguousarray(self.table.T, dtype=bool)
+        advice.flags.writeable = False  # shared by every caller
+        return advice
+
+    @cached_property
+    def _ones(self) -> tuple[int, ...]:
+        """Per-column bitmask of the hypotheses predicting 1, built on the first `ones_mask` call."""
+        return tuple(bitmasks(self.table.T))
 
     def ones_mask(self, j: int) -> int:
         return self._ones[j]

@@ -32,9 +32,11 @@ learner predicts 0 on a blank column. Mistake counts are integers,
 so the wm weights come from one table of exp(-eta * k) over the integer gaps
 k <= t above each row's fewest mistakes, with no exp per round. `run_batch_many`
 gives per-ordering totals of each learner over blocks of orderings, (B, T)
-position arrays such as `PermutationStream.blocks()` yields, and in sampled
-mode every learner reads the same draws of each ordering; `run` is the
-one-learner, one-ordering case that keeps the per-round record.
+position arrays such as `PermutationStream.blocks()` yields. In sampled
+mode every learner reads the same draws of each ordering, and shares the
+first learner's mistake tally wherever their P(predict 1) agree, as a hybrid
+past its switch and wm do; `run` is the one-learner, one-ordering case that
+keeps the per-round record.
 `run_exhaustive_many` gives each learner's mean and maxima over every ordering
 of an exhaustive stream as exact sums over one table of predictions, one per
 (prefix type counts, next example type), whose last digit may differ from a
@@ -137,6 +139,7 @@ def sample_mistakes(
     trials: int,
     p_one: np.ndarray,
     truth: np.ndarray,
+    totals: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(most mistakes in one pass, mistake frequency per round) of sampled passes.
 
@@ -147,27 +150,60 @@ def sample_mistakes(
     consecutive orderings or part of one ordering's passes (at least one
     pass); the generator fills sequentially, so the result equals one
     (trials, T) draw per ordering. The results are (L, B) and (L, B, T)
-    arrays, so memory does not grow with `trials`.
+    arrays, so memory does not grow with `trials`. With totals=True the
+    second is each ordering's sum of its rounds' frequencies, (L, B), and no
+    (L, B, T) array is held: the expected mistakes `_totals` reads.
+
+    Each block is compared with learner 0's P(1) once. Another learner
+    shares that tally and recounts only the (ordering, round) cells where its
+    P(1) differs, all orderings of the block at once: a hybrid differs from
+    wm only in its engine's rounds. A learner that differs in over a fifth
+    of the cells is compared in full, which is then cheaper. Counts are
+    summed as uint16 where they cannot reach 2^16: a pass's mistakes are at
+    most T, a round's at most the block's passes.
     """
     L, B, T = p_one.shape
     rows = max(1, DRAW_BLOCK // max(T, 1))  # passes a block holds
     passes = min(rows, trials)
     orderings = max(1, rows // trials)
     draws = np.empty((min(orderings, B), passes, T))
+    shared = np.empty(draws.shape, dtype=bool)  # learner 0's mistakes on a block
+    pass_sum, round_sum = (np.uint16 if n < 1 << 16 else np.int64 for n in (T, passes))
     most = np.zeros((L, B), dtype=np.int64)
-    wrong_per_round = np.zeros((L, B, T))  # integer counts until the division
+    freq = np.empty((L, B) if totals else (L, B, T))
+    if not L:  # no learner reads the draws
+        return most, freq
+
+    def tally(block, p_l, ys, out=None):  # (mistake bits, their sums per pass (O, passes) and per round (O, T))
+        bits = np.not_equal(np.less(block, p_l[:, None], out=out), ys[:, None], out=out).view(np.uint8)
+        return bits, np.add.reduce(bits, axis=2, dtype=pass_sum), np.add.reduce(bits, axis=1, dtype=round_sum)
+
     for start in range(0, B, orderings):
         stop = min(start + orderings, B)
+        p, ys = p_one[:, start:stop], truth[start:stop]
+        cells = [np.nonzero(p[l] != p[0]) for l in range(L)]  # (ordering, round) where l's P(1) differs
+        counts = np.zeros((L, stop - start, T))  # mistakes per round, integers until the division
         rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
         for first in range(0, trials, passes):
             block = draws[: stop - start, : min(first + passes, trials) - first]
             for rng, out in zip(rngs, block):
                 rng.random(out=out)
-            wrong = (block < p_one[:, start:stop, None]) != truth[start:stop, None]  # (L, orderings, passes, T)
-            np.maximum(most[:, start:stop], wrong.sum(axis=3).max(axis=2), out=most[:, start:stop])
-            wrong_per_round[:, start:stop] += wrong.sum(axis=2)
-    wrong_per_round /= trials
-    return most, wrong_per_round
+            base, base_pass, base_round = tally(block, p[0], ys, shared[: len(block), : block.shape[1]])
+            for l, (o, t) in enumerate(cells):
+                per_pass, per_round = base_pass, base_round
+                if 5 * len(o) > p[l].size:
+                    per_pass, per_round = tally(block, p[l], ys)[1:]
+                elif len(o):
+                    delta = ((block[o, :, t] < p[l, o, t, None]) != ys[o, t, None]).view(np.int8) - base[o, :, t]
+                    owners, firsts = np.unique(o, return_index=True)
+                    per_pass = per_pass.astype(np.int64)
+                    per_pass[owners] += np.add.reduceat(delta, firsts, axis=0, dtype=np.int64)
+                    counts[l, o, t] += delta.sum(axis=1)
+                np.maximum(most[l, start:stop], per_pass.max(axis=1), out=most[l, start:stop])
+                counts[l] += per_round
+        counts /= trials
+        freq[:, start:stop] = counts.sum(axis=2) if totals else counts
+    return most, freq
 
 
 @dataclass(frozen=True)
@@ -339,7 +375,7 @@ def run_exhaustive_many(
     T = len(examples)
     sequences.check_exhaustive(T)  # before any allocation
     cols, truth = _rounds(cls, examples)
-    advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
+    advice_of = cls.advice_of
     types: dict[tuple[bytes, bool], int] = {}
     type_of = np.array(
         [types.setdefault((advice_of[j].tobytes(), bool(y)), len(types)) for j, y in zip(cols, truth)],
@@ -381,7 +417,7 @@ def run_exhaustive_many(
             p_one = table.take((np.cumsum(steps, axis=1) - steps) * K + kinds, axis=1)
             yield p_one, truth[positions]
 
-    expected, _, realized, _ = _totals(batches(), mode, L)
+    expected, _, realized, _ = _totals(batches(), mode, L, exact_sums=False)
     return ordering_statistics(expected, best[:, -1:], realized, randomized)
 
 
@@ -391,16 +427,20 @@ def ordering_statistics(expected, exact, realized, randomized) -> tuple:
     return expected.mean(axis=1), expected.max(axis=1), exact.max(axis=1), randomized, maxima
 
 
-def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _totals(
+    batches, mode: Analytic | Sampled, L: int, exact_sums: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four per-ordering arrays `run_batch_many` returns, summed from batches.
 
-    Exhaustive streams come here in sampled mode only. Each batch is (p_one,
-    (L, B, T), ys, (B, T)); a learner randomized if 0 < p_one < 1 in some
-    round of some batch. An ordering's exact expectation sums its rounds'
-    mistake probabilities, and is its expected mistakes in analytic mode,
-    where the realized maxima are empty. In sampled mode ordering k overall
-    draws from mode.seed + (k,), once for all the learners, and its expected
-    mistakes add each round's mistake count / trials over the rounds.
+    Each batch is (p_one, (L, B, T), ys, (B, T)); a learner randomized if
+    0 < p_one < 1 in some round of some batch. An ordering's exact
+    expectation sums its rounds' mistake probabilities, and is its expected
+    mistakes in analytic mode, where the realized maxima are empty. In
+    sampled mode ordering k overall draws from mode.seed + (k,), once for all
+    the learners, and its expected mistakes add each round's mistake count /
+    trials over the rounds. Exhaustive streams come here in sampled mode only,
+    with exact_sums=False: `run_exhaustive_many` reads their exact maxima and
+    randomized flags off its type table, so these come back empty and False.
     """
     expected, exact, realized = [], [], []
     randomized = np.zeros(L, dtype=bool)
@@ -408,14 +448,16 @@ def _totals(batches, mode: Analytic | Sampled, L: int) -> tuple[np.ndarray, np.n
         seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
     index = 0
     for p_one, ys in batches:
-        randomized |= ((0.0 < p_one) & (p_one < 1.0)).any(axis=(1, 2))
-        exact.append(np.where(ys, 1.0 - p_one, p_one).sum(axis=2))
+        if exact_sums:
+            randomized |= ((0.0 < p_one) & (p_one < 1.0)).any(axis=(1, 2))
+            # the rounds' mistake probabilities, one learner's (B, T) temporary at a time
+            sums = [np.subtract(1.0, p, out=p.copy(), where=ys).sum(axis=1) for p in p_one]
+            exact.append(np.array(sums).reshape(p_one.shape[:2]))
         B = p_one.shape[1]
         if isinstance(mode, Sampled):
-            maxima, round_probs = sample_mistakes(
-                [seed + (index + k,) for k in range(B)], mode.trials, p_one, ys
-            )
-            expected.append(round_probs.sum(axis=2))
+            seeds = [seed + (index + k,) for k in range(B)]
+            maxima, totals = sample_mistakes(seeds, mode.trials, p_one, ys, totals=True)
+            expected.append(totals)
             realized.append(maxima)
         index += B
     exact = np.concatenate(exact, axis=1) if exact else np.empty((L, 0))
@@ -454,7 +496,7 @@ def _batch_p_one(
     """
     B, T = cols.shape
     p_rows = _row_rule(configs, cls, T)
-    advice_of = np.ascontiguousarray(cls.table.T, dtype=bool)
+    advice_of = cls.advice_of
     kept = advice_of.any(axis=1)[cols]
     blank_one = truth & ~kept
     if blank_one.any():  # then every row has one; argmax refuses the empty rows of T = 0
@@ -464,14 +506,12 @@ def _batch_p_one(
     kept_cols, kept_truth = cols[kept].reshape(B, K), truth[kept].reshape(B, K)
     mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
     space_rounds = np.zeros(B, dtype=np.int64)
-    kept_p_one = np.empty((len(configs), B, K))
+    p_one, rows = np.zeros((len(configs), B, T)), np.arange(B)
     for k in range(K):
         advice = advice_of[kept_cols[:, k]]
-        kept_p_one[:, :, k], in_space = p_rows(mistakes, advice, kept_cols[:, k])
+        p_one[:, rows, pos[:, k]], in_space = p_rows(mistakes, advice, kept_cols[:, k])
         space_rounds += in_space
         mistakes += advice != kept_truth[:, k, None]
-    p_one = np.zeros((len(configs), B, T))
-    p_one[:, kept] = kept_p_one.reshape(len(configs), B * K)
     switch = np.zeros(B, dtype=np.int64)
     emptied = mistakes.min(axis=1) > 0
     switch[emptied] = pos[emptied, space_rounds[emptied] - 1] + 1

@@ -24,6 +24,10 @@ one-block call of `run_batch_many`.
 The exhaustive-stream oracle, `exhaustive_reference`, is the enumeration the
 prediction table of `run_exhaustive_many` replaced: `batch_totals` over
 `itertools.permutations`, aggregated as `evaluate` reports it.
+
+The sampler oracle, `sample_mistakes_reference`, is the sampler the shared
+tally of `learners.sample_mistakes` replaced: the same generator calls on the
+same draw blocks, every learner compared with every draw and counted in int64.
 """
 
 import math
@@ -227,6 +231,29 @@ def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> Run
         switch_round=switch_round,
         max_mistakes_sampled=most,
     )
+
+
+def sample_mistakes_reference(seeds, trials, p_one, truth, draw_block=1 << 16):
+    """What `learners.sample_mistakes` returns, comparing every learner with every draw."""
+    L, B, T = p_one.shape
+    rows = max(1, draw_block // max(T, 1))  # passes a block holds
+    passes = min(rows, trials)
+    orderings = max(1, rows // trials)
+    draws = np.empty((min(orderings, B), passes, T))
+    most = np.zeros((L, B), dtype=np.int64)
+    wrong_per_round = np.zeros((L, B, T))  # integer counts until the division
+    for start in range(0, B, orderings):
+        stop = min(start + orderings, B)
+        rngs = [np.random.default_rng(seed) for seed in seeds[start:stop]]
+        for first in range(0, trials, passes):
+            block = draws[: stop - start, : min(first + passes, trials) - first]
+            for rng, out in zip(rngs, block):
+                rng.random(out=out)
+            wrong = (block < p_one[:, start:stop, None]) != truth[start:stop, None]  # (L, orderings, passes, T)
+            np.maximum(most[:, start:stop], wrong.sum(axis=3).max(axis=2), out=most[:, start:stop])
+            wrong_per_round[:, start:stop] += wrong.sum(axis=2)
+    wrong_per_round /= trials
+    return most, wrong_per_round
 
 
 def batch_totals(config, cls: FiniteHypothesisClass, base, orders, mode=ANALYTIC):

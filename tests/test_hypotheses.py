@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from regretlab import (
     FiniteHypothesisClass,
     IndexOutOfRange,
+    LearnerConfig,
     Sequence,
     UnknownInstance,
     VersionSpace,
     best_mistakes,
     mistake_profile,
     restrict,
+    run,
 )
+from regretlab import hypotheses
 
 from .conftest import make_class, seq_of
 
@@ -251,3 +254,26 @@ def test_ones_masks_match_bit_loop(table):
     for j in range(cls.n):
         want = sum(1 << i for i in range(cls.d) if table[i, j])
         assert cls.ones_mask(j) == want
+
+
+def test_class_builds_its_masks_on_first_use(monkeypatch):
+    calls, bitmasks = [], hypotheses.bitmasks
+
+    def spy(rows):
+        calls.append(len(rows))
+        return bitmasks(rows)
+
+    monkeypatch.setattr(hypotheses, "bitmasks", spy)
+    table = np.random.default_rng(1).integers(0, 2, (20, 9))
+    cls = make_class(table)
+    assert calls == []
+    # the wm and halving paths read the transposed table, never the masks
+    seq = seq_of((x, (x * 5) % 3 == 0) for x in range(9))
+    for kind in ("wm", "wm_halving"):
+        run(LearnerConfig(kind), cls, seq)
+    assert calls == []
+    assert cls.advice_of is cls.advice_of and not cls.advice_of.flags.writeable
+    assert (cls.advice_of == table.T.astype(bool)).all()
+    for j in range(cls.n):
+        assert cls.ones_mask(j) == sum(1 << i for i in range(cls.d) if table[i, j])
+    assert calls == [cls.n]  # every column's mask, built once

@@ -409,6 +409,62 @@ def test_sampled_trials_drawn_in_blocks_match_one_draw(monkeypatch, threshold8, 
     assert round_probs.tolist() == [[wrong.mean(axis=0).tolist()]]
 
 
+@st.composite
+def sampler_inputs(draw):
+    """(seeds, trials, p_one (L, B, T), truth (B, T), DRAW_BLOCK) with L <= 4, B <= 6, T <= 12.
+
+    Each cell's P(1) is 0, 1, a random value or learner 0's, so a learner
+    shares anything from none to all of learner 0's cells.
+    The draw block holds several orderings, exactly one, or part of one
+    ordering's passes.
+    """
+    L, B, T = draw(st.integers(0, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    trials = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_one = rng.random((L, B, T))
+    for l in range(L):
+        kinds = np.array(draw(st.lists(st.sampled_from("01sr"), min_size=B * T, max_size=B * T))).reshape(B, T)
+        p_one[l][kinds == "0"], p_one[l][kinds == "1"] = 0.0, 1.0
+        p_one[l][kinds == "s"] = p_one[0][kinds == "s"]
+    truth = np.array(draw(st.lists(st.booleans(), min_size=B * T, max_size=B * T))).reshape(B, T)
+    layout = draw(st.sampled_from(("several", "one", "part")))
+    if layout == "several":
+        draw_block = draw(st.integers(2, B + 1)) * trials * T
+    elif layout == "one":
+        draw_block = trials * T
+    else:
+        draw_block = draw(st.integers(1, max(1, trials - 1))) * T
+    seeds = [(draw(st.integers(0, 99)), k) for k in range(B)]
+    return seeds, trials, p_one, truth, draw_block
+
+
+@given(inputs=sampler_inputs())
+@settings(max_examples=150, deadline=None)
+def test_shared_tally_matches_comparing_every_learner_with_every_draw(inputs):
+    seeds, trials, p_one, truth, draw_block = inputs
+    want_most, want_freq = oracles.sample_mistakes_reference(seeds, trials, p_one, truth)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(learners, "DRAW_BLOCK", draw_block)
+        most, freq = learners.sample_mistakes(seeds, trials, p_one, truth)
+        totals = learners.sample_mistakes(seeds, trials, p_one, truth, totals=True)
+    assert most.dtype == want_most.dtype and np.array_equal(most, want_most)
+    assert freq.dtype == want_freq.dtype and np.array_equal(freq, want_freq)
+    # what `_totals` summed from the per-round frequencies before
+    assert np.array_equal(totals[0], want_most) and np.array_equal(totals[1], want_freq.sum(axis=2))
+
+
+@pytest.mark.parametrize("T, trials", [(1, 70_000), (1 << 16, 2)])
+def test_counts_that_reach_2_to_the_16_match_the_reference(T, trials):
+    # T = 1: a block holds 65,536 passes of one round; T = 2^16: one pass a block
+    p_one = np.stack([np.zeros(T), np.random.default_rng(0).random(T), np.ones(T)])[:, None]
+    truth = np.ones((1, T), dtype=bool)
+    most, freq = learners.sample_mistakes([9], trials, p_one, truth)
+    want_most, want_freq = oracles.sample_mistakes_reference([9], trials, p_one, truth)
+    assert np.array_equal(most, want_most) and np.array_equal(freq, want_freq)
+    # P(1) = 0 errs on every draw of a 1: a uint16 sum would wrap these counts
+    assert most[0, 0] == T and (freq[0] == 1.0).all()
+
+
 # --- batched kernel ---------------------------------------------------------------
 
 
@@ -859,3 +915,10 @@ def test_run_memory_does_not_grow_with_trials_or_rescan_the_class():
     cls, base = make_case_inputs(ExperimentCase("unrealizable", 4000, 2000))
     trace, peak = traced_run(config, cls, base, collect_rounds=False)
     assert trace.switch_round is not None and peak < 1.5 * cls.table.nbytes
+
+
+def test_kernel_builds_the_transposed_table_once_per_class():
+    cls, base = make_case_inputs(ExperimentCase("unrealizable", 1000, 500))
+    config = LearnerConfig("wm_halving")
+    first, second = (traced_run(config, cls, base, collect_rounds=False)[1] for _ in range(2))
+    assert first > cls.table.nbytes > 4 * second
