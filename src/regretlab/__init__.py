@@ -10,6 +10,7 @@ from .errors import (
     EmptyVersionSpace,
     FactorialCapExceeded,
     IndexOutOfRange,
+    LdimCapExceeded,
     RegretlabError,
     UnknownInstance,
     UnsupportedFormat,
@@ -62,6 +63,7 @@ __all__ = [
     "FactorialCapExceeded",
     "FiniteHypothesisClass",
     "IndexOutOfRange",
+    "LdimCapExceeded",
     "LdimComputer",
     "LdimResult",
     "LearnerConfig",

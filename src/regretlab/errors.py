@@ -25,5 +25,9 @@ class FactorialCapExceeded(RegretlabError):
     """Exhaustive permutation enumeration was requested above the cap."""
 
 
+class LdimCapExceeded(RegretlabError):
+    """An Ldim search would hold more member sets than its memo cap."""
+
+
 class UnsupportedFormat(RegretlabError):
     """An unknown report output format was requested."""

@@ -27,6 +27,19 @@ at most 1 + floor(log2 s); the search stops when that cannot beat the best
 value found, or when the best reaches floor(log2 |V|). Both stops leave every
 memo value exact.
 
+The record's third part is a memo by shape, for member sets whose indices
+are contiguous, as every version space of a threshold class is. Shifting
+such a set down to bit 0 relabels its members in order, so its restricted
+class is named by its size and the set of its distinct restriction pairs,
+each pair by its numerically smaller side, shifted alike. Equal shapes are
+the same class up to complementing columns, which keeps the dimension, so a
+range whose shape was solved at another offset takes the stored value after
+its candidate scan, without sorting or recursing. Other sets skip it, and so
+do sets whose key would hold more than SHAPE_KEY_BITS bits.
+
+The mask memo holds at most LDIM_STATE_CAP values; a query that would store
+one more raises LdimCapExceeded, leaving every value already stored exact.
+
 Witness trees walk the same splitting columns in column order, so each node
 is the lowest-indexed domain point that supports the remaining depth. They
 are stored in heap order: node 1 is the root and the children of node i are
@@ -41,14 +54,21 @@ from itertools import product
 from operator import itemgetter
 from weakref import WeakKeyDictionary
 
-from .errors import EmptyVersionSpace
+from .errors import EmptyVersionSpace, LdimCapExceeded
 from .hypotheses import FiniteHypothesisClass, VersionSpace
 
 WITNESS_D_CAP = 20
+# values one class's mask memo may hold; over ten times the largest memo a
+# paper-scale run or a random p = 0.2, d = 256 class builds
+LDIM_STATE_CAP = 1 << 17
+# a contiguous set keys the shape memo only if its size times its number of
+# restriction pairs is at most this: a key holds that many bits, and a
+# threshold class's keys would otherwise grow with the cube of d
+SHAPE_KEY_BITS = 1 << 16
 
 # one record per class: (member bitmask -> Ldim, splitting ones-mask -> lowest
-# column index); classes hash by identity (eq=False)
-_MEMOS: WeakKeyDictionary[FiniteHypothesisClass, tuple[dict, dict]] = WeakKeyDictionary()
+# column index, contiguous set's shape -> Ldim); classes hash by identity (eq=False)
+_MEMOS: WeakKeyDictionary[FiniteHypothesisClass, tuple[dict, dict, dict]] = WeakKeyDictionary()
 
 
 def _splitting_columns(cls: FiniteHypothesisClass) -> dict[int, int]:
@@ -88,19 +108,21 @@ class LdimComputer:
     """Littlestone-dimension evaluator for one hypothesis class.
 
     A view on the class's one record: every computer of a class reads and
-    fills the same memo, keyed on the member bitmask, and walks the same
-    splitting columns; the record lives as long as the class does.
+    fills the same memos, keyed on the member bitmask and on the shape of a
+    contiguous member set, and walks the same splitting columns; the record
+    lives as long as the class does.
     """
 
     def __init__(self, cls: FiniteHypothesisClass):
         self.cls = cls
         record = _MEMOS.get(cls)
         if record is None:
-            record = _MEMOS[cls] = ({}, _splitting_columns(cls))
-        self._memo, self._splits = record
+            record = _MEMOS[cls] = ({}, _splitting_columns(cls), {})
+        self._memo, self._splits, self._shapes = record
 
     def value(self, mask: int) -> int:
-        return self._value(mask, self._splits)
+        cached = self._memo.get(mask)
+        return cached if cached is not None else self._value(mask, self._splits)
 
     def _value(self, mask: int, candidates) -> int:
         """Ldim of `mask`; `candidates` restrict it as the class's splitting columns do, in column order."""
@@ -119,11 +141,22 @@ class LdimComputer:
                 ones_count = m1.bit_count()
                 # min() of each pair, spelled out: this loop is most of an Ldim query
                 smaller[m1 if m1 < m0 else m0] = ones_count if 2 * ones_count <= size else size - ones_count
-        best = 0
-        for side, small in sorted(smaller.items(), key=itemgetter(1), reverse=True):
-            if best >= cap or small.bit_length() <= best:  # 1 + floor(log2 small) <= best
-                break
-            best = max(best, 1 + min(self._value(side, smaller), self._value(mask ^ side, smaller)))
+        shape = best = None
+        low = mask & -mask
+        if mask & (mask + low) == 0 and size * len(smaller) <= SHAPE_KEY_BITS:  # contiguous members
+            shift = low.bit_length() - 1
+            shape = (size, frozenset([side >> shift for side in smaller]))
+            best = self._shapes.get(shape)
+        if best is None:
+            best = 0
+            for side, small in sorted(smaller.items(), key=itemgetter(1), reverse=True):
+                if best >= cap or small.bit_length() <= best:  # 1 + floor(log2 small) <= best
+                    break
+                best = max(best, 1 + min(self._value(side, smaller), self._value(mask ^ side, smaller)))
+            if shape is not None:
+                self._shapes[shape] = best
+        if len(self._memo) >= LDIM_STATE_CAP:
+            raise LdimCapExceeded(f"Ldim search is capped at {LDIM_STATE_CAP} member sets per class")
         self._memo[mask] = best
         return best
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import importlib.util
 import json
 import os
@@ -93,6 +94,15 @@ def test_usage_error_baseline_on_unrealizable(capsys):
     )
     assert code == 1
     assert "realizable" in err
+
+
+def test_ldim_state_cap_exits_1_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("regretlab.ldim"), "LDIM_STATE_CAP", 3)
+    argv = "--case realizable --T 32 --d 16 --learners soa --perm sampled:4".split()
+    code, _, err = run_argv(argv, capsys)
+    assert code == 1
+    assert err.strip().count("\n") == 0  # one-line diagnostic
+    assert "Ldim search is capped at 3" in err
 
 
 def test_usage_error_exhaustive_cap(capsys):

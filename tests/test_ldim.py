@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from regretlab import (
     EmptyVersionSpace,
     ExperimentCase,
+    LdimCapExceeded,
     LdimComputer,
     ShatteredTree,
     VersionSpace,
@@ -17,6 +18,7 @@ from regretlab import (
     ldim_witness_check,
     make_case_inputs,
 )
+from regretlab.sequences import make_domain, make_threshold_class
 
 from .conftest import make_class
 from .oracles import exists_shattered_tree, ldim_by_enumeration, ldim_by_scan, witness_by_scan
@@ -88,10 +90,10 @@ def test_random_class_witness_is_pinned():
 
 
 def test_paper_scale_threshold_class():
-    """T=1000, d=500: Ldim is floor(log2 500), found in a memo of at most 1,000 states."""
+    """T=1000, d=500: Ldim is floor(log2 500), found in a memo of at most 29 states."""
     cls, _ = make_case_inputs(ExperimentCase("realizable", 1000, 500))
     assert ldim(cls).value == 8
-    assert len(LdimComputer(cls)._memo) <= 1000
+    assert len(LdimComputer(cls)._memo) <= 29
 
 
 def test_witness_tree_shape_rule():
@@ -122,13 +124,43 @@ def test_memo_is_dropped_with_its_class():
     gc.collect()
     cls = make_class([[0, 1, 1], [0, 0, 1], [1, 1, 1]])
     assert ldim(cls).value == 1
-    memo, _ = ldim_module._MEMOS[cls]
+    record = ldim_module._MEMOS[cls]
+    memo, shapes = record[0], record[2]
     assert memo and LdimComputer(cls)._memo is memo
+    assert shapes and LdimComputer(cls)._shapes is shapes
     alive = weakref.ref(cls)
     del cls
     gc.collect()
     assert alive() is None
-    assert all(m is not memo for m, _ in ldim_module._MEMOS.values())
+    assert all(r[0] is not memo and r[2] is not shapes for r in ldim_module._MEMOS.values())
+
+
+@pytest.mark.parametrize("key_bits", [ldim_module.SHAPE_KEY_BITS, 30])
+def test_every_threshold_range_matches_full_scan_with_one_shape_per_size(key_bits, monkeypatch):
+    """On a threshold class, ranges of one length share one shape, whatever their offset."""
+    monkeypatch.setattr(ldim_module, "SHAPE_KEY_BITS", key_bits)
+    d = 16
+    cls = make_threshold_class(d, make_domain(2 * d))
+    computer = LdimComputer(cls)
+    scan_memo: dict[int, int] = {}
+    for lo in range(d):
+        for hi in range(lo, d):
+            mask = ((1 << (hi + 1)) - 1) ^ ((1 << lo) - 1)
+            assert computer.value(mask) == ldim_by_scan(cls, mask, scan_memo), (lo, hi)
+    assert len(computer._shapes) <= d
+    assert all(size * len(sides) <= key_bits for size, sides in computer._shapes)
+
+
+def test_state_cap_raises_and_keeps_stored_values_exact(monkeypatch):
+    monkeypatch.setattr(ldim_module, "LDIM_STATE_CAP", 5)
+    cls = make_threshold_class(64, make_domain(128))
+    computer = LdimComputer(cls)
+    with pytest.raises(LdimCapExceeded, match="capped at 5"):
+        computer.value(cls.full_space().mask)
+    assert len(computer._memo) == 5
+    scan_memo: dict[int, int] = {}
+    for mask, value in computer._memo.items():
+        assert value == ldim_by_scan(cls, mask, scan_memo), mask
 
 
 small_tables = st.integers(1, 6).flatmap(
@@ -173,6 +205,34 @@ def test_witness_always_verifies(table):
     result = ldim(cls, want_witness=True)
     assert result.witness.depth == result.value
     assert ldim_witness_check(cls, cls.full_space(), result.witness)
+
+
+@given(small_tables, st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_copy_at_another_offset_reads_its_shape(table, data):
+    """Two copies of one table, apart in one class: the second copy's query hits the first's shape."""
+    d, n = table.shape
+    padding = data.draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=3, unique=True)
+    )
+    stacked = np.vstack([table, np.array(padding).reshape(-1, n), table])
+    cls = make_class(stacked)
+    computer = LdimComputer(cls)
+    first = (1 << d) - 1
+    second = first << (d + len(padding))
+    assert computer.value(first) == ldim_by_scan(cls, first)
+    shapes, states = len(computer._shapes), len(computer._memo)
+    assert computer.value(second) == ldim_by_scan(cls, second)
+    assert len(computer._shapes) == shapes
+    assert len(computer._memo) == states + 1  # the second copy alone: no recursion
+
+
+def test_ranges_of_one_size_and_pair_count_keep_their_own_shapes():
+    """Ldim 2 on rows 0-3 and Ldim 1 on rows 5-8, each range split by two pairs."""
+    cls = make_class([[0, 0], [0, 1], [1, 0], [1, 1], [1, 1], [1, 0], [0, 1], [0, 0], [0, 0]])
+    computer = LdimComputer(cls)
+    assert computer.value(0b1111) == ldim_by_scan(cls, 0b1111) == 2
+    assert computer.value(0b1111 << 5) == ldim_by_scan(cls, 0b1111 << 5) == 1
 
 
 @st.composite
