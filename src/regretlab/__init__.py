@@ -43,7 +43,6 @@ from .learners import (
     eta_for,
     run,
     run_batch_many,
-    wm_weights,
 )
 from .sequences import (
     ExperimentCase,
@@ -95,5 +94,4 @@ __all__ = [
     "run",
     "run_batch_many",
     "with_bounds",
-    "wm_weights",
 ]

@@ -1,12 +1,13 @@
 """Finite hypothesis classes over a finite instance domain.
 
 A hypothesis class is a dense d x n binary table: row i holds hypothesis i's
-label on each domain point. `VersionSpace`, the Littlestone-dimension
-recursion and SOA's comparisons hold a version space as a bitmask over
-hypothesis indices, which keeps them exact and cheap even at d = 500; the
-learners' batched kernel filters on rows of mistake counts instead. A class
-builds its per-column bitmasks and the kernel's bool transpose of its table
-on first use, so a class that never reaches SOA never builds the masks.
+label on each domain point. A class owns one table-sized array, the read-only
+bool (n, d) `advice_of`, copied once from its input; `table` is its int8
+(d, n) view. `VersionSpace`, the Littlestone-dimension recursion and SOA's
+comparisons hold a version space as a bitmask over hypothesis indices, which
+keeps them exact and cheap even at d = 500; the learners' batched kernel
+filters on rows of mistake counts instead. A class builds its per-column
+bitmasks on first use, so a class that never reaches SOA never builds them.
 """
 
 from __future__ import annotations
@@ -104,10 +105,17 @@ def bitmasks(rows: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class FiniteHypothesisClass:
-    """A d x n binary evaluation table over an explicit finite domain."""
+    """A d x n binary evaluation table over an explicit finite domain.
+
+    The class owns one copy of its table, `advice_of`: a C-contiguous,
+    read-only bool (n, d) array whose row j is every hypothesis's label on
+    column j. `table` is the read-only int8 (d, n) view of the same memory,
+    so editing the array passed in leaves the class unchanged.
+    """
 
     domain: tuple[int, ...]
     table: np.ndarray
+    advice_of: np.ndarray = field(init=False, repr=False)
     _col: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,10 +126,12 @@ class FiniteHypothesisClass:
             raise ValueError("table width must equal the domain size")
         if len(set(self.domain)) != len(self.domain):
             raise ValueError("domain points must be distinct")
-        if not ((table == 0) | (table == 1)).all():
+        if table.dtype != bool and not ((table == 0) | (table == 1)).all():
             raise ValueError("table entries must be 0 or 1")
-        table = np.ascontiguousarray(table, dtype=np.int8)
-        object.__setattr__(self, "table", table)
+        advice = np.array(table.T, dtype=bool, order="C")
+        advice.flags.writeable = False  # shared by every caller
+        object.__setattr__(self, "advice_of", advice)
+        object.__setattr__(self, "table", advice.T.view(np.int8))
         object.__setattr__(self, "domain", tuple(int(x) for x in self.domain))
         object.__setattr__(self, "_col", {x: j for j, x in enumerate(self.domain)})
 
@@ -144,19 +154,9 @@ class FiniteHypothesisClass:
         return self.table[:, self.column_index(x)]
 
     @cached_property
-    def advice_of(self) -> np.ndarray:
-        """The table transposed to bool, (n, d): row j is every hypothesis's label on column j.
-
-        Built on first use, once per class; the learners' kernel reads it.
-        """
-        advice = np.ascontiguousarray(self.table.T, dtype=bool)
-        advice.flags.writeable = False  # shared by every caller
-        return advice
-
-    @cached_property
     def _ones(self) -> tuple[int, ...]:
         """Per-column bitmask of the hypotheses predicting 1, built on the first `ones_mask` call."""
-        return tuple(bitmasks(self.table.T))
+        return tuple(bitmasks(self.advice_of))
 
     def ones_mask(self, j: int) -> int:
         return self._ones[j]
@@ -176,6 +176,10 @@ class FiniteHypothesisClass:
     @classmethod
     def from_json(cls, text: str) -> "FiniteHypothesisClass":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or set(doc) != {"domain", "table"}:
+            raise ValueError('a class document must be an object with exactly the keys "domain" and "table"')
+        if not isinstance(doc["domain"], list) or not all(type(x) is int for x in doc["domain"]):
+            raise ValueError("domain must be a list of integers")
         return cls(tuple(doc["domain"]), doc["table"])
 
 
@@ -188,10 +192,17 @@ def restrict(space: VersionSpace, cls: FiniteHypothesisClass, x: int, y: int) ->
 
 
 def mistake_profile(cls: FiniteHypothesisClass, seq: Sequence) -> np.ndarray:
-    """Per-hypothesis total mistakes over the sequence; order-invariant."""
+    """Per-hypothesis total mistakes over the sequence; order-invariant.
+
+    A hypothesis errs on each 1-label of a column it labels 0 and each
+    0-label of a column it labels 1: every 1-label counts, plus, over the
+    columns it labels 1, that column's 0-labels less its 1-labels.
+    """
     cols = np.array([cls.column_index(x) for x, _ in seq], dtype=np.intp)
-    ys = np.array([y for _, y in seq], dtype=np.int8)
-    return (cls.table[:, cols] != ys).sum(axis=1).astype(np.int64)
+    ones = np.array([y for _, y in seq], dtype=bool)
+    labels = np.bincount(cols, minlength=cls.n)
+    ones_at = np.bincount(cols[ones], minlength=cls.n)
+    return ones_at.sum() + np.einsum("j,ji->i", labels - 2 * ones_at, cls.advice_of)
 
 
 def best_mistakes(profile: np.ndarray) -> tuple[int, tuple[int, ...]]:

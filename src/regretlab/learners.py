@@ -102,16 +102,6 @@ class LearnerConfig:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
 
-def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
-    """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability.
-
-    The definition; `_batch_p_one` reads the same shifted weights from a table.
-    """
-    m = np.asarray(mistakes, dtype=np.float64)
-    w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
-    return w / w.sum(axis=-1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class Analytic:
     """Accumulate exact per-round mistake probabilities; no randomness."""

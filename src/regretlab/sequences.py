@@ -57,9 +57,8 @@ def make_threshold_class(d: int, domain: tuple[int, ...]) -> FiniteHypothesisCla
     """Rows h_0 .. h_{d-1} with h_i(x) = 0 iff x <= i."""
     if not 1 <= d <= len(domain):
         raise ValueError(f"d must satisfy 1 <= d <= |domain|, got d={d}, n={len(domain)}")
-    xs = np.array(domain)
-    table = (xs[None, :] > np.arange(d)[:, None]).astype(np.int8)
-    return FiniteHypothesisClass(tuple(domain), table)
+    advice = np.array(domain)[:, None] > np.arange(d)  # (n, d), the layout the class keeps
+    return FiniteHypothesisClass(tuple(domain), advice.T)
 
 
 def label_sequence(case: ExperimentCase, domain: tuple[int, ...]) -> Sequence:

@@ -28,6 +28,9 @@ prediction table of `run_exhaustive_many` replaced: `batch_totals` over
 The sampler oracle, `sample_mistakes_reference`, is the sampler the shared
 tally of `learners.sample_mistakes` replaced: the same generator calls on the
 same draw blocks, every learner compared with every draw and counted in int64.
+
+`wm_weights` is Weighted Majority's weight definition over an array of
+mistake counts; the wm tests read a prediction's expected P(1) from it.
 """
 
 import math
@@ -174,6 +177,16 @@ def _engine_prediction(engine, tie_break, cls, scan_memo, space, x) -> float:
         for side in (restrict(space, cls, x, 0), restrict(space, cls, x, 1))
     )
     return float(l1 >= l0)
+
+
+def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
+    """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability.
+
+    The definition; `learners._batch_p_one` reads the same shifted weights from a table.
+    """
+    m = np.asarray(mistakes, dtype=np.float64)
+    w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _wm_prediction(eta: float, mistakes: list[int], advice: list[int]) -> float:

@@ -515,6 +515,12 @@ def test_gen_writes_files(capsys, tmp_path):
     assert doc["domain"] == [0, 1]
     csv_text = (tmp_path / "dump.sequence.csv").read_text()
     assert csv_text.splitlines()[0] == "t,x,y"
+    code, _, _ = run_argv(["gen", "--T", "8", "--d", "4", "--out", str(prefix)], capsys)
+    assert code == 0
+    assert (tmp_path / "dump.class.json").read_text() == (
+        '{"domain": [-3, -2, -1, 0, 1, 2, 3, 4], "table": [[0, 0, 0, 0, 1, 1, 1, 1], '
+        '[0, 0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 0, 0, 1]]}\n'
+    )
 
 
 def test_gen_validation(capsys):

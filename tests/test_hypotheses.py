@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regretlab import (
+    ExperimentCase,
     FiniteHypothesisClass,
     IndexOutOfRange,
     LearnerConfig,
@@ -14,6 +15,7 @@ from regretlab import (
     UnknownInstance,
     VersionSpace,
     best_mistakes,
+    make_case_inputs,
     mistake_profile,
     restrict,
     run,
@@ -132,6 +134,46 @@ def test_class_checks_entries_before_the_int8_cast(entry):
         FiniteHypothesisClass.from_json(json.dumps({"domain": [0, 1], "table": [[entry, 0]]}))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[0, 1]],  # not an object
+        "0 1",
+        None,
+        {"table": [[0, 1]]},  # no domain
+        {"domain": [0, 1]},  # no table
+        {"domain": [0, 1], "table": [[0, 1]], "d": 1},  # an unknown key
+        {"domain": "01", "table": [[0, 1]]},  # a domain that is not a list
+        {"domain": {"0": 0, "1": 1}, "table": [[0, 1]]},
+        {"domain": 2, "table": [[0, 1]]},
+        {"domain": [0, 1.5], "table": [[0, 1]]},  # points that are not integers
+        {"domain": [0, True], "table": [[0, 1]]},
+        {"domain": [0, "1"], "table": [[0, 1]]},
+        {"domain": [0, None], "table": [[0, 1]]},
+    ],
+)
+def test_class_document_is_refused_with_one_line(doc):
+    with pytest.raises(ValueError) as refused:
+        FiniteHypothesisClass.from_json(json.dumps(doc))
+    assert str(refused.value) and "\n" not in str(refused.value)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+def test_class_owns_one_read_only_table_that_input_edits_do_not_reach(dtype):
+    table = np.array([[0, 1], [1, 1]], dtype=dtype)
+    cls, twin = make_class(table), make_class(table.copy())
+    assert np.shares_memory(cls.table, cls.advice_of) and not np.shares_memory(cls.table, table)
+    assert not cls.table.flags.writeable and not cls.advice_of.flags.writeable
+    assert cls.table.dtype == np.int8 and cls.table.shape == (2, 2) and cls.advice_of.flags.c_contiguous
+    table[0, 0] = 1  # the caller edits its array after construction
+    assert cls.table.tolist() == [[0, 1], [1, 1]] and cls.advice_of.T.tolist() == [[0, 1], [1, 1]]
+    assert [cls.ones_mask(j) for j in range(2)] == [0b10, 0b11]
+    seq = seq_of([(0, 0), (1, 1), (0, 0)])  # labeled by row 0 as given
+    assert mistake_profile(cls, seq).tolist() == [0, 2]
+    for kind in ("wm", "wm_halving", "soa"):
+        assert run(LearnerConfig(kind), cls, seq) == run(LearnerConfig(kind), twin, seq)
+
+
 @pytest.mark.parametrize("entry", [True, 1.0])
 def test_class_accepts_entries_equal_to_one(entry):
     cls = FiniteHypothesisClass((0, 1), np.array([[entry, 0]]))
@@ -148,6 +190,19 @@ def test_class_at_the_size_cap_validates_in_table_sized_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * table.nbytes
+
+
+def test_mistake_profile_at_the_size_cap_makes_no_table_sized_temporary():
+    cls, seq = make_case_inputs(ExperimentCase("unrealizable", 10_000, 5_000))
+    tracemalloc.start()
+    try:
+        profile = mistake_profile(cls, seq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * cls.table.nbytes
+    # all labels are 1, so h_i errs on the i + 5,000 points x <= i of -4,999 .. 5,000
+    assert (profile == np.arange(5_000) + 5_000).all()
 
 
 def test_json_round_trip(threshold8):

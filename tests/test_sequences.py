@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from regretlab import (
     FactorialCapExceeded,
     PermutationStream,
     label_sequence,
+    make_case_inputs,
     make_domain,
     make_threshold_class,
     mistake_profile,
@@ -105,6 +107,17 @@ def test_unrealizable_sequence_all_ones():
     case = ExperimentCase("unrealizable", 8, 4)
     seq = label_sequence(case, make_domain(8))
     assert all(y == 1 for _, y in seq)
+
+
+def test_case_inputs_at_the_size_cap_hold_at_most_two_tables():
+    # the CLI's largest case: the threshold builder's bool array and the class's one copy
+    tracemalloc.start()
+    try:
+        cls, _ = make_case_inputs(ExperimentCase("unrealizable", 10_000, 5_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * cls.table.nbytes
 
 
 def test_realizable_best_is_zero_unrealizable_counts_nonpositives():
