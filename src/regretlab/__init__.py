@@ -36,7 +36,6 @@ from .hypotheses import (
 from .ldim import LdimComputer, LdimResult, ShatteredTree, ldim, ldim_witness_check
 from .learners import (
     ANALYTIC,
-    Analytic,
     LearnerConfig,
     RunTrace,
     Sampled,
@@ -55,7 +54,6 @@ from .sequences import (
 
 __all__ = [
     "ANALYTIC",
-    "Analytic",
     "BoundVerdict",
     "EmptyVersionSpace",
     "ExperimentCase",

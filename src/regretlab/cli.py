@@ -52,6 +52,9 @@ SEED_ENV_VAR = "REGRETLAB_SEED"
 FORMATS = ("csv", "json", "markdown")
 MAX_T = 10_000  # ten times the paper's horizon; keeps a d x T table under 10^8 cells
 MAX_COUNT = 10**6  # sampled orderings or trials; ten thousand times the paper's 100 orderings
+# a config holds at most one value per ExperimentConfig field, a few hundred bytes;
+# the cap bounds what one --config read takes from a huge file or /dev/zero
+MAX_CONFIG_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -156,9 +159,15 @@ def build_parser() -> _Parser:
 def _config_tokens(path: str) -> list[str]:
     """The `run` flags a JSON config file stands for: key `a_b` is `--a-b=value`."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"config file {path} is over {MAX_CONFIG_BYTES} bytes")
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")

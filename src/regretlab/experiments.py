@@ -32,7 +32,6 @@ from .hypotheses import FiniteHypothesisClass, best_mistakes, mistake_profile
 from .learners import (
     ANALYTIC,
     BASELINE_KINDS,
-    Analytic,
     LearnerConfig,
     Sampled,
     ordering_statistics,
@@ -92,7 +91,7 @@ def evaluate(
     config: LearnerConfig,
     case: ExperimentCase,
     stream: PermutationStream,
-    mode: Analytic | Sampled = ANALYTIC,
+    mode: Sampled | None = ANALYTIC,
 ) -> PermutationReport:
     """Run the learner on every ordering of a benchmark case's stream and aggregate.
 
@@ -109,7 +108,7 @@ def evaluate_many(
     configs: Iterable[LearnerConfig],
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
-    mode: Analytic | Sampled = ANALYTIC,
+    mode: Sampled | None = ANALYTIC,
 ) -> list[PermutationReport]:
     """One report per learner, in order, from one pass over the stream for all of them.
 
@@ -201,15 +200,8 @@ def with_bounds(report: PermutationReport, cls: FiniteHypothesisClass) -> Permut
     return report
 
 
-def _diff_metric(report: PermutationReport) -> float:
-    if report.realizable:
-        return report.max_mistakes
-    return report.expected_regret
-
-
-def _report_row(report: PermutationReport, first: PermutationReport | None) -> dict:
-    """A report's row; its keys in order are every format's columns. `first` is row 0's report, None on row 0."""
-    diff = None if first is None else _diff_metric(first) - _diff_metric(report)
+def _report_row(report: PermutationReport, diff: float | None) -> dict:
+    """A report's row; its keys in order are every format's columns. `diff` is None on row 0."""
     verdict = report.bounds[0] if report.bounds else None
     return {
         "learner": report.learner.kind,
@@ -230,7 +222,10 @@ def _report_row(report: PermutationReport, first: PermutationReport | None) -> d
 
 
 def _rows(reports: list[PermutationReport]) -> list[dict]:
-    return [_report_row(r, reports[0] if i else None) for i, r in enumerate(reports)]
+    """The reports' rows. A later row's diff is row 0's metric less its own, the
+    metric being a report's max mistakes if realizable, else its expected regret."""
+    metric = [r.max_mistakes if r.realizable else r.expected_regret for r in reports]
+    return [_report_row(r, metric[0] - metric[i] if i else None) for i, r in enumerate(reports)]
 
 
 def _csv_cell(value) -> str:
@@ -262,39 +257,33 @@ def emit_report(reports: list[PermutationReport], fmt: str = "csv") -> str:
 
 
 def _markdown(reports: list[PermutationReport]) -> str:
-    """Wide table per (T, |H|, realizable) run, mirroring the benchmark table layout."""
+    """One wide table per (T, |H|, realizable) run, mirroring the benchmark table layout, read off its `_rows`."""
     by_run: dict[tuple[int, int, bool], list[PermutationReport]] = {}
     for r in reports:
         by_run.setdefault((r.T, r.d, r.realizable), []).append(r)
 
     out: list[str] = []
-    for (T, d, realizable), group in by_run.items():
+    for group in by_run.values():
+        rows = _rows(group)
+        first = rows[0]
+        columns = ("expected_mistakes", "max_mistakes") if first["M(h*)"] == 0 else ("expected_regret",)
         header = ["T", "Permutations", "|H|", "M(h*)"]
-        for r in group:
-            if realizable:
-                header += [f"{r.learner.kind} expected mistakes", f"{r.learner.kind} max mistakes"]
-            else:
-                header += [f"{r.learner.kind} expected regret"]
-        if len(group) == 2:
+        header += [f"{row['learner']} {key.replace('_', ' ')}" for row in rows for key in columns]
+        cells = [str(first[key]) for key in ("T", "permutations", "|H|", "M(h*)")]
+        cells += [f"{row[key]:.2f}" for row in rows for key in columns]
+        if len(rows) == 2:
             header.append("Diff")
-        row = [str(T), str(group[0].permutation_count), str(d), str(group[0].best_mistakes)]
-        for r in group:
-            if realizable:
-                row += [f"{r.expected_mistakes:.2f}", f"{r.max_mistakes:.2f}"]
-            else:
-                row += [f"{r.expected_regret:.2f}"]
-        if len(group) == 2:
-            row.append(f"{_diff_metric(group[0]) - _diff_metric(group[1]):.2f}")
+            cells.append(f"{rows[1]['diff']:.2f}")
         out.append("| " + " | ".join(header) + " |")
         out.append("|" + "|".join(["---"] * len(header)) + "|")
-        out.append("| " + " | ".join(row) + " |")
+        out.append("| " + " | ".join(cells) + " |")
         out.append("")
-        for r in group:
-            for v in r.bounds:
-                status = "pass" if v.passed else "FAIL"
+        for row in rows:
+            if row["bound_name"] is not None:
+                status = "pass" if row["bound_pass"] else "FAIL"
                 out.append(
-                    f"- {r.learner.kind}: {v.name}: bound {v.bound_value:.4f}, "
-                    f"observed {v.observed:.4f} ({status})"
+                    f"- {row['learner']}: {row['bound_name']}: bound {row['bound_value']:.4f}, "
+                    f"observed {row['bound_observed']:.4f} ({status})"
                 )
         out.append("")
     return "\n".join(out).rstrip() + "\n"

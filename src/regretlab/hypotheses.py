@@ -13,6 +13,7 @@ bitmasks on first use, so a class that never reaches SOA never builds them.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
@@ -24,14 +25,13 @@ from .errors import IndexOutOfRange, UnknownInstance
 
 @dataclass(frozen=True)
 class Sequence:
-    """An ordered list of labeled examples (x_t, y_t) presented one per round."""
+    """An ordered list of labeled examples (x_t, y_t) presented one per round, held as ints."""
 
     examples: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        for x, y in self.examples:
-            if y not in (0, 1):
-                raise ValueError(f"label must be 0 or 1, got {y!r}")
+        examples = tuple((_integer(x, "an instance"), _label(y)) for x, y in self.examples)
+        object.__setattr__(self, "examples", examples)
 
     @property
     def T(self) -> int:
@@ -97,6 +97,21 @@ class VersionSpace:
         return (self.mask & -self.mask).bit_length() - 1
 
 
+def _label(y) -> int:
+    """A label as the int 0 or 1: True and 1.0 are 1; anything else raises ValueError."""
+    if y not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {y!r}")
+    return int(y)
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int, by operator.index: numpy integers pass, 1.0 and "1" raise ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def bitmasks(rows: np.ndarray) -> list[int]:
     """Each row of a 2-D 0/1 array as an integer bitmask: bit i is column i."""
     packed = np.packbits(np.asarray(rows, dtype=bool), axis=1, bitorder="little")
@@ -122,9 +137,10 @@ class FiniteHypothesisClass:
         table = np.asarray(self.table)  # checked as given: an int8 cast would wrap 257 to 1
         if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
             raise ValueError(f"table must be a non-empty 2-D matrix, got shape {table.shape}")
-        if table.shape[1] != len(self.domain):
+        domain = tuple(_integer(x, "a domain point") for x in self.domain)
+        if table.shape[1] != len(domain):
             raise ValueError("table width must equal the domain size")
-        if len(set(self.domain)) != len(self.domain):
+        if len(set(domain)) != len(domain):  # after conversion: True is the point 1
             raise ValueError("domain points must be distinct")
         if table.dtype != bool and not ((table == 0) | (table == 1)).all():
             raise ValueError("table entries must be 0 or 1")
@@ -132,8 +148,8 @@ class FiniteHypothesisClass:
         advice.flags.writeable = False  # shared by every caller
         object.__setattr__(self, "advice_of", advice)
         object.__setattr__(self, "table", advice.T.view(np.int8))
-        object.__setattr__(self, "domain", tuple(int(x) for x in self.domain))
-        object.__setattr__(self, "_col", {x: j for j, x in enumerate(self.domain)})
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_col", {x: j for j, x in enumerate(domain)})
 
     @property
     def d(self) -> int:
@@ -148,6 +164,18 @@ class FiniteHypothesisClass:
             return self._col[x]
         except KeyError:
             raise UnknownInstance(f"instance {x} is not in the class domain") from None
+
+    def resolve(self, examples) -> tuple[np.ndarray, np.ndarray]:
+        """(column index, label == 1) of each example (x, y), as intp and bool arrays.
+
+        Every label, then every instance, is checked before anything is
+        returned: a label other than 0 or 1 raises ValueError, an instance
+        outside the domain UnknownInstance.
+        """
+        examples = tuple(examples)
+        truth = np.array([_label(y) for _, y in examples], dtype=bool)
+        cols = np.array([self.column_index(x) for x, _ in examples], dtype=np.intp)
+        return cols, truth
 
     def column(self, x: int) -> np.ndarray:
         """Advice vector: every hypothesis's label on x."""
@@ -192,14 +220,13 @@ def restrict(space: VersionSpace, cls: FiniteHypothesisClass, x: int, y: int) ->
 
 
 def mistake_profile(cls: FiniteHypothesisClass, seq: Sequence) -> np.ndarray:
-    """Per-hypothesis total mistakes over the sequence; order-invariant.
+    """Per-hypothesis total mistakes over the sequence, read through `cls.resolve`; order-invariant.
 
     A hypothesis errs on each 1-label of a column it labels 0 and each
     0-label of a column it labels 1: every 1-label counts, plus, over the
     columns it labels 1, that column's 0-labels less its 1-labels.
     """
-    cols = np.array([cls.column_index(x) for x, _ in seq], dtype=np.intp)
-    ones = np.array([y for _, y in seq], dtype=bool)
+    cols, ones = cls.resolve(seq)
     labels = np.bincount(cols, minlength=cls.n)
     ones_at = np.bincount(cols[ones], minlength=cls.n)
     return ones_at.sum() + np.einsum("j,ji->i", labels - 2 * ones_at, cls.advice_of)

@@ -15,10 +15,10 @@ with none. Its prediction is a function of that state and the instance:
 
 A version-space baseline raises WrongPhase only when it must predict with
 an empty space (the sequence is not realizable); a space that empties in
-the final round raises nothing. Analytic mode accumulates the exact
-per-round mistake probability, so expectations over permutation streams
-need no Monte Carlo sampling; sampled mode draws the answers from a seeded
-generator, one generator per ordering, through one routine,
+the final round raises nothing. Analytic mode, ANALYTIC (None), accumulates
+the exact per-round mistake probability, so expectations over permutation
+streams need no Monte Carlo sampling; sampled mode draws the answers from a
+seeded generator, one generator per ordering, through one routine,
 `sample_mistakes`.
 
 `_batch_p_one` advances many orderings of one sequence together, one round
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -103,11 +103,6 @@ class LearnerConfig:
 
 
 @dataclass(frozen=True)
-class Analytic:
-    """Accumulate exact per-round mistake probabilities; no randomness."""
-
-
-@dataclass(frozen=True)
 class Sampled:
     """Draw predictions from Bernoulli(p_one); `trials` independent passes."""
 
@@ -119,7 +114,7 @@ class Sampled:
             raise ValueError("trials must be >= 1")
 
 
-ANALYTIC = Analytic()
+ANALYTIC = None  # the default mode: exact per-round mistake probabilities, no randomness
 
 DRAW_BLOCK = 1 << 16  # uniform draws held in memory at once by `sample_mistakes`
 
@@ -222,26 +217,15 @@ class RunTrace:
     max_mistakes_sampled: int | None = None
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "x": r.x,
-                    "y": r.y,
-                    "p_one": r.p_one,
-                    "randomized": r.randomized,
-                    "mistake_prob": r.mistake_prob,
-                }
-            )
-            for r in self.rounds
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One JSON object per round; its keys are RoundRecord's fields."""
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.rounds)
 
 
 def run(
     config: LearnerConfig,
     cls: FiniteHypothesisClass,
     seq: Sequence | Iterable[tuple[int, int]],
-    mode: Analytic | Sampled = ANALYTIC,
+    mode: Sampled | None = ANALYTIC,
     collect_rounds: bool = True,
 ) -> RunTrace:
     """Drive one learner over one sequence: the one-ordering case of the batched kernel.
@@ -256,8 +240,7 @@ def run(
     space empties reports switch_round, the round it emptied in, the last
     its engine predicted.
     """
-    examples = tuple(seq)
-    cols, truth = _rounds(cls, examples)
+    cols, truth = cls.resolve(seq)
     p_ones, switch = _batch_p_one((config,), cls, cols[None], truth[None])
     p_ones, switch = p_ones[0, 0], int(switch[0])
     randomized = (0.0 < p_ones) & (p_ones < 1.0)
@@ -272,8 +255,8 @@ def run(
     rounds: list[RoundRecord] = []
     if collect_rounds:
         rounds = [
-            RoundRecord(x, int(y), float(p), bool(r), float(mp))
-            for (x, y), p, r, mp in zip(examples, p_ones, randomized, round_probs)
+            RoundRecord(cls.domain[j], int(y), float(p), bool(r), float(mp))
+            for j, y, p, r, mp in zip(cols.tolist(), truth, p_ones, randomized, round_probs)
         ]
     return RunTrace(
         rounds=rounds,
@@ -285,22 +268,12 @@ def run(
     )
 
 
-def _rounds(cls: FiniteHypothesisClass, examples) -> tuple[np.ndarray, np.ndarray]:
-    """(column index, label == 1) of each example; every example is checked before any round."""
-    for _, y in examples:
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
-    cols = np.array([cls.column_index(x) for x, _ in examples], dtype=np.intp)
-    truth = np.array([y == 1 for _, y in examples], dtype=bool)
-    return cols, truth
-
-
 def run_batch_many(
     configs: tuple[LearnerConfig, ...],
     cls: FiniteHypothesisClass,
     base: Sequence,
     blocks: Iterable[np.ndarray],
-    mode: Analytic | Sampled = ANALYTIC,
+    mode: Sampled | None = ANALYTIC,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-ordering totals of each of the distinct `configs`, from one pass over blocks of orderings.
 
@@ -317,9 +290,8 @@ def run_batch_many(
     The SOA rule depends only on the version space, so every ordering reads
     the class's one Ldim memo.
     """
-    examples = tuple(base)
-    T = len(examples)
-    cols, truth = _rounds(cls, examples)
+    cols, truth = cls.resolve(base)
+    T = len(cols)
     size = max(1, sequences.BATCH_ORDERINGS // (len(configs) or 1))
 
     def batches():
@@ -338,7 +310,7 @@ def run_exhaustive_many(
     configs: tuple[LearnerConfig, ...],
     cls: FiniteHypothesisClass,
     stream: PermutationStream,
-    mode: Analytic | Sampled = ANALYTIC,
+    mode: Sampled | None = ANALYTIC,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Each learner's statistics over every ordering of an exhaustive stream, (L,) each.
 
@@ -361,10 +333,9 @@ def run_exhaustive_many(
     per-ordering mean. Only sampled mode reads each ordering's rounds from the
     table, at the mixed-radix ids of its prefix counts, for its draws.
     """
-    examples = stream.base.examples
-    T = len(examples)
+    T = stream.base.T
     sequences.check_exhaustive(T)  # before any allocation
-    cols, truth = _rounds(cls, examples)
+    cols, truth = cls.resolve(stream.base)
     advice_of = cls.advice_of
     types: dict[tuple[bytes, bool], int] = {}
     type_of = np.array(
@@ -418,7 +389,7 @@ def ordering_statistics(expected, exact, realized, randomized) -> tuple:
 
 
 def _totals(
-    batches, mode: Analytic | Sampled, L: int, exact_sums: bool = True
+    batches, mode: Sampled | None, L: int, exact_sums: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The four per-ordering arrays `run_batch_many` returns, summed from batches.
 

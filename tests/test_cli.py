@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from regretlab import cli, sequences
-from regretlab.cli import MAX_COUNT, MAX_T, ExperimentConfig, build_parser, run_cli
+from regretlab.cli import MAX_CONFIG_BYTES, MAX_COUNT, MAX_T, ExperimentConfig, build_parser, run_cli
 
 TABLE_CSV_REALIZABLE = (
     "t,x,y\n"
@@ -388,6 +388,28 @@ def test_hostile_config_file_fails_with_one_line(capsys, tmp_path, doc, message)
     assert err.startswith("regretlab: error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("size, code", [(MAX_CONFIG_BYTES, 0), (MAX_CONFIG_BYTES + 1, 1)], ids=["at-cap", "over-cap"])
+def test_config_file_read_stops_at_the_cap(capsys, tmp_path, size, code):
+    # valid JSON padded with whitespace: only its size decides
+    config_path = tmp_path / "exp.json"
+    config_path.write_text('{"seed": 1}'.ljust(size))
+    argv = ["--config", str(config_path), "--T", "4", "--d", "2", "--learners", "wm", "--dump-config"]
+    got, out, err = run_argv(argv, capsys)
+    assert got == code
+    if code:
+        assert out == "" and err == f"regretlab: error: config file {config_path} is over {MAX_CONFIG_BYTES} bytes\n"
+    else:
+        assert json.loads(out)["seed"] == 1
+
+
+def test_deeply_nested_config_file_fails_with_one_line(capsys, tmp_path):
+    config_path = tmp_path / "exp.json"
+    config_path.write_text("[" * 50_000)  # json.loads recurses once per level
+    code, out, err = run_argv(["--config", str(config_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("regretlab: error: cannot read config file") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretlab import experiments, sequences
+from regretlab import experiments, learners, sequences
 from regretlab import (
     ANALYTIC,
     ExperimentCase,
@@ -268,8 +269,17 @@ def test_instance_outside_the_domain_raises_before_any_learner_runs(exhaustive):
     def no_learner(*args):
         raise AssertionError("a learner ran")
 
-    with mock.patch("regretlab.learners._row_rule", no_learner), pytest.raises(UnknownInstance):
-        evaluate_many([LearnerConfig("wm"), LearnerConfig("wm_soa")], cls, stream)
+    configs = (LearnerConfig("wm"), LearnerConfig("wm_soa"))
+    # evaluate_many, and each kernel called alone: every one resolves the sequence before any row
+    calls = [
+        lambda: evaluate_many(configs, cls, stream),
+        lambda: learners.run_exhaustive_many(configs, cls, stream),
+        lambda: learners.run_batch_many(configs, cls, stream.base, stream.blocks()),
+        lambda: run(configs[0], cls, stream.base),
+    ]
+    for call in calls:
+        with mock.patch("regretlab.learners._row_rule", no_learner), pytest.raises(UnknownInstance):
+            call()
 
 
 @st.composite
@@ -607,7 +617,8 @@ def test_diff_is_found_by_position():
     # one report object at two positions: only the first row is the reference row
     _, cls, stream = small_stream(T=6, d=3)
     r, h = evaluate_many([LearnerConfig("wm"), LearnerConfig("wm_halving")], cls, stream)
-    last = experiments._diff_metric(r) - experiments._diff_metric(h)
+    assert r.realizable and h.realizable
+    last = r.max_mistakes - h.max_mistakes
     lines = emit_report([r, r, h], "csv").splitlines()
     diff_at = lines[0].split(",").index("diff")
     assert [line.split(",")[diff_at] for line in lines[1:]] == ["", "0.0", repr(last)]
@@ -646,6 +657,30 @@ def test_markdown_has_one_table_per_run_and_reads_regret_when_unrealizable(two_r
     wm, wmh = unrealizable
     row = f"| 8 | 40320 | 4 | 4 | {wm.expected_regret:.2f} | {wmh.expected_regret:.2f} | "
     assert row + f"{wm.expected_regret - wmh.expected_regret:.2f} |" in text
+
+
+MARKDOWN_GOLDEN = Path(__file__).parent / "golden" / "markdown"
+# each golden report's runs, in order: (case kind, T, |H|, learners), every learner
+# at sqrt2 over the exhaustive stream, analytic, bounds checked
+MARKDOWN_RUNS = {
+    "realizable_T7_d4_three_learners.md": [("realizable", 7, 4, ("wm", "wm_halving", "wm_soa"))],
+    "unrealizable_T8_d4_two_learners.md": [("unrealizable", 8, 4, ("wm", "wm_halving"))],
+    "two_runs.md": [("realizable", 6, 3, ("wm", "wm_consistent")), ("unrealizable", 6, 3, ("wm", "wm_soa"))],
+}
+
+
+def test_markdown_goldens_are_the_listed_runs():
+    assert sorted(p.name for p in MARKDOWN_GOLDEN.iterdir()) == sorted(MARKDOWN_RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(MARKDOWN_RUNS))
+def test_markdown_matches_golden_bytes(name):
+    reports = []
+    for kind, T, d, kinds in MARKDOWN_RUNS[name]:
+        cls, base = make_case_inputs(ExperimentCase(kind, T, d))
+        configs = [LearnerConfig(k, eta_variant="sqrt2") for k in kinds]
+        reports += [with_bounds(r, cls) for r in evaluate_many(configs, cls, PermutationStream(base))]
+    assert emit_report(reports, "markdown").encode() == (MARKDOWN_GOLDEN / name).read_bytes()
 
 
 def test_unknown_format(two_reports):

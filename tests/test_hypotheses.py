@@ -125,6 +125,19 @@ def test_class_validation():
         FiniteHypothesisClass((), np.zeros((1, 0), dtype=np.int8))
 
 
+def test_domain_points_are_ints_and_distinct_after_conversion():
+    table = np.zeros((1, 2), dtype=np.int8)
+    cls = FiniteHypothesisClass((np.int64(-1), True), table)
+    assert cls.domain == (-1, 1) and all(type(x) is int for x in cls.domain)
+    assert cls.column_index(1) == 1
+    for domain in [(1.0, 1.5), (0, 1.0), (0, "1"), (0, None)]:
+        with pytest.raises(ValueError, match="must be an integer") as refused:
+            FiniteHypothesisClass(domain, table)
+        assert "\n" not in str(refused.value)
+    with pytest.raises(ValueError, match="distinct"):  # True is the point 1
+        FiniteHypothesisClass((1, True), table)
+
+
 @pytest.mark.parametrize("entry", [257, 256, -255, 2, -1, 0.5, "a", None, float("nan")])
 def test_class_checks_entries_before_the_int8_cast(entry):
     """257 and 256 would wrap to 1 and 0 in int8; from_json would hit numpy's OverflowError."""
@@ -220,9 +233,29 @@ def test_sequence_csv(realizable8):
     assert lines[-1] == "8,4,1"
 
 
-def test_sequence_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        Sequence(((0, 2),))
+@pytest.mark.parametrize("label", [2, -1, 0.5, "1", None])
+def test_sequence_rejects_bad_labels(label):
+    with pytest.raises(ValueError, match="0 or 1") as refused:
+        Sequence(((0, label),))
+    assert "\n" not in str(refused.value)
+
+
+def test_sequence_stores_instances_and_labels_as_ints():
+    seq = Sequence(((0, True), (True, 1.0), (np.int64(2), np.int64(0))))
+    assert seq.examples == ((0, 1), (1, 1), (2, 0)) and all(type(v) is int for pair in seq for v in pair)
+    assert seq.to_csv() == "t,x,y\n1,0,1\n2,1,1\n3,2,0\n"
+    for x in (1.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Sequence(((x, 1),))
+
+
+def test_mistake_profile_checks_every_example_first(threshold8):
+    with pytest.raises(ValueError, match="0 or 1"):  # not read as a 1
+        mistake_profile(threshold8, [(1, 2), (0, 0)])
+    with pytest.raises(UnknownInstance):
+        mistake_profile(threshold8, [(1, 1), (99, 0)])
+    cols, truth = threshold8.resolve([(1, 1), (-3, 0)])
+    assert cols.tolist() == [4, 0] and truth.tolist() == [True, False]
 
 
 small_tables = st.integers(1, 5).flatmap(

@@ -298,6 +298,9 @@ def test_trace_jsonl_round_records(threshold8, realizable8):
 
     first = json.loads(lines[0])
     assert set(first) == {"x", "y", "p_one", "randomized", "mistake_prob"}
+    # a record holds the domain's int, so numpy instances of a plain iterable write too
+    pairs = [(np.int64(x), np.int64(y)) for x, y in realizable8]
+    assert run(LearnerConfig("wm"), threshold8, pairs).to_jsonl() == trace.to_jsonl()
 
 
 def test_deterministic_learner_same_trace_both_modes(threshold8, realizable8):
@@ -625,7 +628,7 @@ def assert_rounds_match_reference(config, cls, base, orders, mode):
     for seq in seqs:
         assert_run_matches_reference(config, cls, seq, mode)
     assert_kernel_matches_reference(config, cls, base, orders, mode)
-    cols, truth = learners._rounds(cls, base.examples)
+    cols, truth = cls.resolve(base)
     positions = np.array(orders)
     try:
         for seq in seqs:
@@ -754,7 +757,7 @@ def test_sampled_orderings_share_draw_blocks(monkeypatch, threshold8, all_ones8)
 def test_kernel_engine_rounds_per_ordering(kind, inputs):
     cls, base, orders = inputs
     config = LearnerConfig(kind)
-    cols, truth = learners._rounds(cls, base.examples)
+    cols, truth = cls.resolve(base)
     positions = np.array(orders)
     _, switch = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     emptied = mistake_profile(cls, base).min() > 0  # the final counts of every ordering
@@ -871,7 +874,7 @@ def test_batch_after_every_space_empties_matches_reference(kind):
     rng = np.random.default_rng(3)
     orders = [tuple(rng.permutation(base.T).tolist()) for _ in range(5)]
     config = LearnerConfig(kind, eta_variant="sqrt2")
-    cols, truth = learners._rounds(cls, base.examples)
+    cols, truth = cls.resolve(base)
     positions = np.array(orders)
     _, engine_rounds = learners._batch_p_one((config,), cls, cols[positions], truth[positions])
     # every space empties, and many rounds follow the last one to empty
