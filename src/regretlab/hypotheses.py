@@ -160,8 +160,9 @@ class FiniteHypothesisClass:
         return int(self.table.shape[1])
 
     def column_index(self, x: int) -> int:
+        """The column of instance x, read after `operator.index` as `Sequence` reads x: 1.0 raises ValueError."""
         try:
-            return self._col[x]
+            return self._col[_integer(x, "an instance")]
         except KeyError:
             raise UnknownInstance(f"instance {x} is not in the class domain") from None
 
@@ -169,8 +170,8 @@ class FiniteHypothesisClass:
         """(column index, label == 1) of each example (x, y), as intp and bool arrays.
 
         Every label, then every instance, is checked before anything is
-        returned: a label other than 0 or 1 raises ValueError, an instance
-        outside the domain UnknownInstance.
+        returned: a label other than 0 or 1 raises ValueError, and an
+        instance `column_index` refuses raises its error.
         """
         examples = tuple(examples)
         truth = np.array([_label(y) for _, y in examples], dtype=bool)

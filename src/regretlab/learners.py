@@ -40,8 +40,10 @@ keeps the per-round record.
 `run_exhaustive_many` gives each learner's mean and maxima over every ordering
 of an exhaustive stream as exact sums over one table of predictions, one per
 (prefix type counts, next example type), whose last digit may differ from a
-per-ordering average; only sampled mode reads each ordering out of it. All of
-them predict through one row rule, `_row_rule`. Every total holds each
+per-ordering average; only sampled mode reads each ordering out of it. Its
+maxima walk the table's states in level order (by prefix length), so each
+level is one contiguous slice and one max-plus step. All of them predict
+through one row rule, `_row_rule`. Every total holds each
 ordering's exact expected mistakes beside what the mode gives. A round is
 randomized iff 0 < P(predict 1) < 1, and a learner iff some round is.
 """
@@ -113,6 +115,11 @@ class Sampled:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
+
+# i!, and C(m, c) at m * _FACTORIAL.size + c, for i, m, c <= EXHAUSTIVE_T_CAP: the ordering counts
+# `run_exhaustive_many` reads
+_FACTORIAL = np.array([math.factorial(i) for i in range(sequences.EXHAUSTIVE_T_CAP + 1)], dtype=np.int64)
+_BINOMIAL = np.array([math.comb(m, c) for m in range(_FACTORIAL.size) for c in range(_FACTORIAL.size)], np.int64)
 
 ANALYTIC = None  # the default mode: exact per-round mistake probabilities, no randomness
 
@@ -330,45 +337,60 @@ def run_exhaustive_many(
     modes, from best(c + e_k) = max best(c) + q(c, k) one level |c| at a time:
     exactly the largest left-to-right sum of an ordering's rounds, as rounding
     is monotone. These exact sums may differ in the last digit from a
-    per-ordering mean. Only sampled mode reads each ordering's rounds from the
-    table, at the mixed-radix ids of its prefix counts, for its draws.
+    per-ordering mean, and from a per-ordering maximum when T >= 8, where
+    numpy sums an ordering's rounds pairwise. Only sampled mode reads each
+    ordering's rounds from the table, at the mixed-radix ids of its prefix
+    counts, for its draws.
+
+    The states are numbered in mixed radix, type k in units of stride[k]. One
+    stable argsort ranks them by level |c|, so a level is a contiguous run of
+    ranks and its max-plus step one gather, add and max. The mean still sums
+    over the rows in state-id order; its counts come from import-time tables.
     """
     T = stream.base.T
     sequences.check_exhaustive(T)  # before any allocation
     cols, truth = cls.resolve(stream.base)
-    advice_of = cls.advice_of
+    advice = cls.advice_of.take(cols, axis=0)  # (T, d): each example's advice
+    raw, d = advice.tobytes(), cls.d
     types: dict[tuple[bytes, bool], int] = {}
-    type_of = np.array(
-        [types.setdefault((advice_of[j].tobytes(), bool(y)), len(types)) for j, y in zip(cols, truth)],
-        dtype=np.intp,
-    )
-    first = np.unique(type_of, return_index=True)[1]  # each type's first example
-    type_cols, type_truth = cols[first], truth[first]
+    type_of = [types.setdefault((raw[t * d : t * d + d], y), len(types)) for t, y in enumerate(truth.tolist())]
     K, L = len(types), len(configs)
-    n = np.bincount(type_of, minlength=K)
-    stride = np.cumprod(n + 1) // (n + 1)  # exclusive: type k counts in units of stride[k]
-    counts = np.arange(np.prod(n + 1))[:, None] // stride % (n + 1)  # (states, types)
-    wrong = advice_of[type_cols] != type_truth[:, None]  # (types, d)
-    state, k = np.nonzero(counts < n)
-    p, _ = _row_rule(configs, cls, T)(counts[state] @ wrong, advice_of[type_cols[k]], type_cols[k])
-    q = np.where(type_truth[k], 1.0 - p, p)
+    first = [type_of.index(k) for k in range(K)]  # each type's first example
+    radix = [type_of.count(k) + 1 for k in range(K)]  # type k's count runs 0 .. n_k
+    stride = [math.prod(radix[:k]) for k in range(K)]  # exclusive: type k counts in units of stride[k]
+    S = math.prod(radix)
+    radix, stride, first = (np.array(v, dtype=np.intp) for v in (radix, stride, first))
+    n = radix - 1
+    counts = np.arange(S)[:, None] // stride % radix  # (states, types)
+    gaps = n - counts  # examples of each type still to come
+    state, k = np.nonzero(gaps)  # the table's rows: state c, next type k
+    ex = first.take(k)  # the first example of each row's type
+    wrong = advice.take(first, axis=0) != truth.take(first)[:, None]  # (types, d)
+    mistakes = (counts @ wrong).take(state, axis=0)
+    p, _ = _row_rule(configs, cls, T)(mistakes, advice.take(ex, axis=0), cols.take(ex))
+    q = np.where(truth.take(ex), 1.0 - p, p)  # the mistake probability
     randomized = ((0.0 < p) & (p < 1.0)).any(axis=1)
     level = counts.sum(axis=1)
-    into = np.full((L, len(counts), K), -np.inf)  # q of the round entering state s by type k
-    into[:, state + stride[k], k] = q
-    before = np.arange(len(counts))[:, None] - stride  # wraps below 0 only where `into` is -inf
-    best = np.zeros((L, len(counts)))
-    for t in range(1, T + 1):
-        ids = np.flatnonzero(level == t)
-        best[:, ids] = (best[:, before[ids]] + into[:, ids]).max(axis=2)
+    # the states in level order: state s at rank[s], level t at ranks ends[t - 1] .. ends[t] - 1
+    order = np.argsort(level, kind="stable")
+    rank = np.empty(S, dtype=np.intp)
+    rank[order] = np.arange(S)
+    ends = np.bincount(level).cumsum().tolist()
+    into = np.full((S, K, L), -np.inf)  # q of the round entering the state at rank r by type k
+    into[rank.take(state + stride.take(k)), k] = q.T
+    before = rank.take(order[:, None] - stride)  # wraps below 0 only where `into` is -inf
+    best = np.zeros((S, L))
+    for lo, hi in zip(ends, ends[1:]):
+        np.maximum.reduce(best.take(before[lo:hi], axis=0) + into[lo:hi], axis=1, out=best[lo:hi])
     if not isinstance(mode, Sampled):
-        fact = np.array([math.factorial(i) for i in range(T + 1)], dtype=np.int64)
-        prefixes = (fact[n] // (fact[counts] * fact[n - counts])).prod(axis=1) * fact[level]  # orderings of c
-        through = prefixes[state] * (n[k] - counts[state, k]) * fact[T - 1 - level[state]]
-        return (q * through).sum(axis=1) / fact[T], best[:, -1], best[:, -1], randomized, None
+        # the orderings through each row; clip guards only the full state, of level T, which has no row
+        prefixes = np.multiply.reduce(_BINOMIAL.take(counts + n * _FACTORIAL.size), axis=1) * _FACTORIAL.take(level)
+        through = (prefixes * _FACTORIAL.take(T - 1 - level, mode="clip"))[:, None] * gaps
+        return (q * through[state, k]).sum(axis=1) / _FACTORIAL[T], best[-1], best[-1], randomized, None
 
     table = np.zeros((L, counts.size))  # learner l's p at (state s, type k): table[l, s * K + k]
     table[:, state * K + k] = p
+    type_of = np.array(type_of, dtype=np.intp)
 
     def batches():
         for positions in stream.blocks():
@@ -379,7 +401,7 @@ def run_exhaustive_many(
             yield p_one, truth[positions]
 
     expected, _, realized, _ = _totals(batches(), mode, L, exact_sums=False)
-    return ordering_statistics(expected, best[:, -1:], realized, randomized)
+    return ordering_statistics(expected, best[-1:].T, realized, randomized)
 
 
 def ordering_statistics(expected, exact, realized, randomized) -> tuple:
@@ -513,28 +535,30 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
     baseline = any(c.kind in BASELINE_KINDS for c in configs)
     computer = LdimComputer(cls) if any(e == "soa" for e, _ in engines) else None
     decays = {v: np.exp(-eta_for(cls.d, T, v) * np.arange(T + 1)) for v in rates}
+    vote = np.uint16 if cls.d < 1 << 16 else np.intp  # a vote count is at most d
 
     def p_rows(mistakes: np.ndarray, advice: np.ndarray, cols: np.ndarray):
-        low = mistakes.min(axis=1, keepdims=True)
+        low = np.minimum.reduce(mistakes, axis=1, keepdims=True)
         in_space = low[:, 0] == 0
-        all_in, any_in = bool(in_space.all()), bool(in_space.any())
+        inside = np.count_nonzero(in_space)
+        all_in, any_in = inside == len(in_space), inside > 0
         if baseline and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
         p = np.empty((len(configs), len(mistakes)))
         for variant, users in rates.items():
             if all_in and variant not in every_row:
                 continue
-            rows = ~in_space if any_in and variant not in every_row else slice(None)
-            w, row_advice = decays[variant].take(mistakes[rows] - low[rows]), advice[rows]
+            rows = np.flatnonzero(~in_space) if any_in and variant not in every_row else slice(None)
+            w, row_advice = decays[variant].take(_rows(mistakes, rows) - _rows(low, rows)), _rows(advice, rows)
             ones = np.einsum("ij,ij->i", w, row_advice)
             value = ones / (ones + np.einsum("ij,ij->i", w, ~row_advice))
             for i in users:
                 p[i, rows] = value
         if any_in and engines:  # overwrites the wm values of a hybrid's in-space rows
-            rows = slice(None) if all_in else in_space
-            space, row_advice, row_cols = mistakes[rows] == 0, advice[rows], cols[rows]
+            rows = slice(None) if all_in else np.flatnonzero(in_space)
+            space, row_advice, row_cols = _rows(mistakes, rows) == 0, _rows(advice, rows), _rows(cols, rows)
             # each row's survivors voting 1 and its space size, read by halving and soa
-            votes = (space & row_advice).sum(axis=1), space.sum(axis=1)
+            votes = tuple(np.add.reduce(v.view(np.uint8), axis=1, dtype=vote) for v in (space & row_advice, space))
             for (engine, tie_break), users in engines.items():
                 value = _engine_p_one(engine, tie_break, cls, space, row_advice, row_cols, votes, computer)
                 for i in users:
@@ -542,6 +566,11 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
         return p, in_space
 
     return p_rows
+
+
+def _rows(a: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+    """The rows of `a` at the indices `rows`; all of `a`, uncopied, for the slice of every row."""
+    return a if isinstance(rows, slice) else a.take(rows, axis=0)
 
 
 def _engine_p_one(
@@ -564,9 +593,7 @@ def _engine_p_one(
     ones, size = votes
     if engine == "halving":
         zeros = size - ones
-        p = (ones > zeros).astype(np.float64)
-        p[ones == zeros] = {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break]
-        return p
+        return np.where(ones == zeros, {"one": 1.0, "zero": 0.0, "random": 0.5}[tie_break], ones > zeros)
     # soa: when the survivors agree, the other side is empty and loses (Ldim
     # -1), so the row predicts their label; only a row whose instance splits
     # its space compares the two sides' Ldim, ties going to 1

@@ -275,7 +275,7 @@ def batch_totals(config, cls: FiniteHypothesisClass, base, orders, mode=ANALYTIC
     `run_batch_many` of the one learner over one block of the orderings,
     positions into `base`; in sampled mode ordering k draws from mode.seed + (k,).
     """
-    examples, orders = tuple(base), list(orders)
+    examples, orders = tuple(base), orders if isinstance(orders, np.ndarray) else list(orders)
     block = np.array(orders, dtype=np.intp).reshape(len(orders), len(examples))
     expected, _, realized, randomized = run_batch_many((config,), cls, examples, [block], mode)
     return expected[0], realized[0], bool(randomized[0])
@@ -302,6 +302,17 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
     return expected, realized, randomized
 
 
+_ORDERINGS_CACHE: dict[int, np.ndarray] = {}
+
+
+def all_orderings(T: int) -> np.ndarray:
+    """Every ordering of range(T) in `itertools.permutations` order, one (T!, T) array per T."""
+    if T not in _ORDERINGS_CACHE:
+        orders = np.array(list(permutations(range(T))), dtype=np.intp)
+        _ORDERINGS_CACHE[T] = orders.reshape(math.factorial(T), T)
+    return _ORDERINGS_CACHE[T]
+
+
 def exhaustive_reference(config, cls: FiniteHypothesisClass, base: Sequence, mode=ANALYTIC):
     """(mean and max expected mistakes, max sampled mistakes, max exact expected mistakes) over every ordering.
 
@@ -310,10 +321,11 @@ def exhaustive_reference(config, cls: FiniteHypothesisClass, base: Sequence, mod
     analytic maximum for a deterministic learner and None for a randomized one.
     The exact maximum is the analytic run's maximum, in either mode.
     """
-    expected, realized, randomized = batch_totals(config, cls, base, permutations(range(base.T)), mode)
+    orders = all_orderings(base.T)
+    expected, realized, randomized = batch_totals(config, cls, base, orders, mode)
     if realized.size:
         sampled = float(realized.max())
     else:
         sampled = None if randomized else float(expected.max())
-    exact = batch_totals(config, cls, base, permutations(range(base.T)))[0] if realized.size else expected
+    exact = batch_totals(config, cls, base, orders)[0] if realized.size else expected
     return float(expected.mean()), float(expected.max()), sampled, float(exact.max())

@@ -258,6 +258,17 @@ def test_mistake_profile_checks_every_example_first(threshold8):
     assert cols.tolist() == [4, 0] and truth.tolist() == [True, False]
 
 
+def test_resolve_converts_instances_as_sequence_does(threshold8):
+    # 1.0 hashes like the point 1, so a plain dict lookup would take it for that point
+    for refuse in (lambda: threshold8.resolve([(1.0, 1), (True, 0)]), lambda: threshold8.column_index(1.0)):
+        with pytest.raises(ValueError, match="an instance must be an integer") as refused:
+            refuse()
+        assert "\n" not in str(refused.value)
+    examples = [(np.int64(1), 1), (True, 0)]
+    cols, _ = threshold8.resolve(examples)
+    assert cols.tolist() == threshold8.resolve(Sequence(tuple(examples)))[0].tolist() == [4, 4]
+
+
 small_tables = st.integers(1, 5).flatmap(
     lambda d: st.integers(1, 5).flatmap(
         lambda n: st.lists(

@@ -81,6 +81,14 @@ def test_halving_tie_variants():
     assert (coin.p_one, coin.randomized) == (0.5, True)
 
 
+@pytest.mark.parametrize("d", [(1 << 16) - 1, 1 << 16])
+@pytest.mark.parametrize("kind", ["halving", "soa"])
+def test_vote_counts_that_reach_2_to_the_16(d, kind):
+    # every expert votes 1; a uint16 count of 2^16 votes would wrap to 0 of 0, a tie
+    record = last_round(kind, make_class(np.ones((d, 1))), [], 0, tie_break="zero")
+    assert (record.p_one, record.randomized) == (1, False)
+
+
 def test_halving_singleton(threshold8):
     prefix = [(2, 0), (3, 1)]
     assert survivors(threshold8, prefix) == [2]
