@@ -25,7 +25,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
 
 from .errors import RegretlabError
 from .experiments import emit_report, evaluate_many, with_bounds
@@ -52,31 +51,9 @@ SEED_ENV_VAR = "REGRETLAB_SEED"
 FORMATS = ("csv", "json", "markdown")
 MAX_T = 10_000  # ten times the paper's horizon; keeps a d x T table under 10^8 cells
 MAX_COUNT = 10**6  # sampled orderings or trials; ten thousand times the paper's 100 orderings
-# a config holds at most one value per ExperimentConfig field, a few hundred bytes;
+# a config holds at most one value per `run` setting, a few hundred bytes;
 # the cap bounds what one --config read takes from a huge file or /dev/zero
 MAX_CONFIG_BYTES = 1 << 16
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved settings for one `run` invocation; JSON round-trippable."""
-
-    case: str = REALIZABLE
-    T: int = 0
-    d: int = 0
-    learners: tuple[str, ...] = ()
-    perm: str = "exhaustive"  # "exhaustive" or "sampled:N"
-    seed: int = 0
-    eta_variant: str = "sqrt8"
-    mode: str = "analytic"  # "analytic" or "sampled:N"
-    format: str = "csv"
-    out: str | None = None
-    check_bounds: bool = True
-
-    def to_json(self) -> str:
-        doc = asdict(self)
-        doc["learners"] = list(self.learners)
-        return json.dumps(doc, indent=2) + "\n"
 
 
 class ConfigError(RegretlabError):
@@ -127,17 +104,18 @@ def build_parser() -> _Parser:
 
     run_p = sub.add_parser("run", help="evaluate learners over a permutation stream")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
-    run_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE))
-    run_p.add_argument("--T", type=_natural)
-    run_p.add_argument("--d", type=_natural)
-    run_p.add_argument("--learners", type=_learner_list, help="comma-separated learner kinds")
-    run_p.add_argument("--perm", help="exhaustive or sampled:N")
-    run_p.add_argument("--seed", type=_natural)
-    run_p.add_argument("--eta-variant", choices=ETA_VARIANTS)
-    run_p.add_argument("--mode", help="analytic or sampled:N")
-    run_p.add_argument("--format", choices=FORMATS)
+    # the `run` settings, in the order --dump-config prints them
+    run_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE), default=REALIZABLE)
+    run_p.add_argument("--T", type=_natural, default=0)
+    run_p.add_argument("--d", type=_natural, default=0)
+    run_p.add_argument("--learners", type=_learner_list, default=(), help="comma-separated learner kinds")
+    run_p.add_argument("--perm", default="exhaustive", help="exhaustive or sampled:N")
+    run_p.add_argument("--seed", type=_natural)  # None: _run_command reads REGRETLAB_SEED, else 0
+    run_p.add_argument("--eta-variant", choices=ETA_VARIANTS, default="sqrt8")
+    run_p.add_argument("--mode", default="analytic", help="analytic or sampled:N")
+    run_p.add_argument("--format", choices=FORMATS, default="csv")
     run_p.add_argument("--out", help="output path (default: stdout)")
-    run_p.add_argument("--check-bounds", action=argparse.BooleanOptionalAction)
+    run_p.add_argument("--check-bounds", action=argparse.BooleanOptionalAction, default=True)
     run_p.add_argument(
         "--dump-config",
         action="store_true",
@@ -156,8 +134,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_tokens(path: str) -> list[str]:
-    """The `run` flags a JSON config file stands for: key `a_b` is `--a-b=value`."""
+def _settings(args: argparse.Namespace) -> dict:
+    """The `run` settings a parse produced: every value but the command, --config and --dump-config."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "config", "dump_config")}
+
+
+def _config_tokens(path: str, settings: dict) -> list[str]:
+    """The `run` flags a JSON config file stands for: key `a_b`, one of `settings`, is `--a-b=value`."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_CONFIG_BYTES + 1)
@@ -171,7 +154,7 @@ def _config_tokens(path: str) -> list[str]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)}
+    unknown = set(doc) - set(settings)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     tokens = []
@@ -186,16 +169,6 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
-    if values["seed"] is None and SEED_ENV_VAR in os.environ:
-        try:
-            values["seed"] = _natural(os.environ[SEED_ENV_VAR])
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
-    return ExperimentConfig(**{k: v for k, v in values.items() if v is not None})
-
-
 def _check_size(T: int, d: int) -> None:
     """Refuse a horizon or class size before any domain or class is built."""
     if not 1 <= T <= MAX_T:
@@ -204,8 +177,8 @@ def _check_size(T: int, d: int) -> None:
         raise ConfigError(f"--d must satisfy 1 <= d <= T, got d={d}, T={T}")
 
 
-def _validate(config: ExperimentConfig) -> tuple[int, int]:
-    """Check the config; returns (orderings, trials), 0 meaning exhaustive / analytic."""
+def _validate(config: argparse.Namespace) -> tuple[int, int]:
+    """Check the `run` settings; returns (orderings, trials), 0 meaning exhaustive / analytic."""
     _check_size(config.T, config.d)
     if not config.learners:
         raise ConfigError("--learners must name at least one learner")
@@ -226,11 +199,15 @@ def _validate(config: ExperimentConfig) -> tuple[int, int]:
     return orderings, trials
 
 
-def _run_command(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+def _run_command(config: argparse.Namespace) -> int:
+    if config.seed is None:
+        try:
+            config.seed = _natural(os.environ.get(SEED_ENV_VAR, "0"))
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
     orderings, trials = _validate(config)
-    if args.dump_config:
-        sys.stdout.write(config.to_json())
+    if config.dump_config:
+        sys.stdout.write(json.dumps(_settings(config), indent=2) + "\n")
         return 0
 
     # an unwritable --out fails here, before any class is built or learner run
@@ -275,7 +252,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run" and args.config:
-            args = parser.parse_args(["run", *_config_tokens(args.config), *argv[1:]])
+            args = parser.parse_args(["run", *_config_tokens(args.config, _settings(args)), *argv[1:]])
         if args.command == "gen":
             return _gen_command(args)
         if args.command == "run":

@@ -58,7 +58,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import WrongPhase
-from .hypotheses import FiniteHypothesisClass, Sequence, bitmasks
+from .hypotheses import FiniteHypothesisClass, Sequence, _integer, bitmasks
 # Not called here: kept as the attribute perfbench/spans.py wraps as `learners.restrict`.
 from .hypotheses import restrict  # noqa: F401
 from .ldim import LdimComputer
@@ -106,14 +106,21 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Draw predictions from Bernoulli(p_one); `trials` independent passes."""
+    """Draw predictions from Bernoulli(p_one); `trials` independent passes.
+
+    `seed` is held as a non-empty tuple of non-negative ints, ready for the
+    per-ordering suffix `_totals` adds: an int s becomes (s,), from which
+    numpy's default_rng draws the same stream. `trials` is an int >= 1.
+    """
 
     seed: int | tuple[int, ...]
     trials: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", sequences._seed(self.seed))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 # i!, and C(m, c) at m * _FACTORIAL.size + c, for i, m, c <= EXHAUSTIVE_T_CAP: the ordering counts
@@ -388,6 +395,7 @@ def run_exhaustive_many(
         through = (prefixes * _FACTORIAL.take(T - 1 - level, mode="clip"))[:, None] * gaps
         return (q * through[state, k]).sum(axis=1) / _FACTORIAL[T], best[-1], best[-1], randomized, None
 
+    # sampled runs read their orderings off this table: through `run_batch_many` they take longer and peak higher
     table = np.zeros((L, counts.size))  # learner l's p at (state s, type k): table[l, s * K + k]
     table[:, state * K + k] = p
     type_of = np.array(type_of, dtype=np.intp)
@@ -400,6 +408,7 @@ def run_exhaustive_many(
             p_one = table.take((np.cumsum(steps, axis=1) - steps) * K + kinds, axis=1)
             yield p_one, truth[positions]
 
+    # the table gives the exact maxima and flags; summing them per ordering again also raises the peak memory
     expected, _, realized, _ = _totals(batches(), mode, L, exact_sums=False)
     return ordering_statistics(expected, best[-1:].T, realized, randomized)
 
@@ -420,15 +429,14 @@ def _totals(
     expectation sums its rounds' mistake probabilities, and is its expected
     mistakes in analytic mode, where the realized maxima are empty. In
     sampled mode ordering k overall draws from mode.seed + (k,), once for all
-    the learners, and its expected mistakes add each round's mistake count /
-    trials over the rounds. Exhaustive streams come here in sampled mode only,
-    with exact_sums=False: `run_exhaustive_many` reads their exact maxima and
-    randomized flags off its type table, so these come back empty and False.
+    the learners (`Sampled` holds its seed as a tuple), and its expected
+    mistakes add each round's mistake count / trials over the rounds.
+    Exhaustive streams come here in sampled mode only, with exact_sums=False:
+    `run_exhaustive_many` reads their exact maxima and randomized flags off
+    its type table, so these come back empty and False.
     """
     expected, exact, realized = [], [], []
     randomized = np.zeros(L, dtype=bool)
-    if isinstance(mode, Sampled):
-        seed = tuple(mode.seed) if isinstance(mode.seed, (tuple, list)) else (int(mode.seed),)
     index = 0
     for p_one, ys in batches:
         if exact_sums:
@@ -438,7 +446,7 @@ def _totals(
             exact.append(np.array(sums).reshape(p_one.shape[:2]))
         B = p_one.shape[1]
         if isinstance(mode, Sampled):
-            seeds = [seed + (index + k,) for k in range(B)]
+            seeds = [mode.seed + (index + k,) for k in range(B)]
             maxima, totals = sample_mistakes(seeds, mode.trials, p_one, ys, totals=True)
             expected.append(totals)
             realized.append(maxima)

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import FactorialCapExceeded
-from .hypotheses import FiniteHypothesisClass, Sequence
+from .hypotheses import FiniteHypothesisClass, Sequence, _integer
 
 EXHAUSTIVE_T_CAP = 9
 # orderings held at once: the rows of one block of a stream, which
@@ -39,6 +39,8 @@ class ExperimentCase:
     def __post_init__(self) -> None:
         if self.kind not in (REALIZABLE, UNREALIZABLE):
             raise ValueError(f"kind must be realizable or unrealizable, got {self.kind!r}")
+        object.__setattr__(self, "T", _integer(self.T, "T"))
+        object.__setattr__(self, "d", _integer(self.d, "d"))
         if self.T < 1:
             raise ValueError("T must be positive")
         if not 1 <= self.d <= self.T:
@@ -83,7 +85,8 @@ class PermutationStream:
     Exhaustive streams enumerate all T! orderings (lexicographic by original
     position) and are refused above T = EXHAUSTIVE_T_CAP. Sampled streams yield
     `count` independent uniform shuffles: ordering k is the k-th
-    `permutation(T)` drawn from `default_rng(seed)`.
+    `permutation(T)` drawn from `default_rng(seed)`. `seed` is held as a
+    non-empty tuple of non-negative ints: an int s becomes (s,), the same stream.
     """
 
     base: Sequence
@@ -92,6 +95,8 @@ class PermutationStream:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "count", _integer(self.count, "count"))
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not self.exhaustive and self.count < 1:
             raise ValueError("sampled streams need count >= 1")
 
@@ -122,6 +127,14 @@ class PermutationStream:
         while L < T and math.factorial(L + 1) <= BATCH_ORDERINGS:
             L += 1
         return _permutation_blocks(T, L)
+
+
+def _seed(seed) -> tuple[int, ...]:
+    """`seed` as a non-empty tuple of non-negative ints; an int s is (s,), from which default_rng draws as from s."""
+    ints = tuple(_integer(s, "seed") for s in (seed if isinstance(seed, (tuple, list)) else (seed,)))
+    if not ints or min(ints) < 0:
+        raise ValueError(f"seed must be a non-negative integer or a non-empty tuple of them, got {seed!r}")
+    return ints
 
 
 def check_exhaustive(T: int) -> None:

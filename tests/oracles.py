@@ -290,10 +290,7 @@ def per_ordering_values(config, cls: FiniteHypothesisClass, base: Sequence, orde
     expected, realized, randomized = [], [], False
     for k, order in enumerate(orders):
         seq = tuple(base.examples[i] for i in order)
-        perm_mode = mode
-        if isinstance(mode, Sampled):
-            seed = tuple(mode.seed) if isinstance(mode.seed, tuple) else (mode.seed,)
-            perm_mode = Sampled(seed + (k,), mode.trials)
+        perm_mode = Sampled(mode.seed + (k,), mode.trials) if isinstance(mode, Sampled) else mode
         trace = reference_run(config, cls, seq, perm_mode)
         expected.append(trace.expected_mistakes)
         if trace.max_mistakes_sampled is not None:

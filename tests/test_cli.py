@@ -5,13 +5,12 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from regretlab import cli, sequences
-from regretlab.cli import MAX_CONFIG_BYTES, MAX_COUNT, MAX_T, ExperimentConfig, build_parser, run_cli
+from regretlab.cli import MAX_CONFIG_BYTES, MAX_COUNT, MAX_T, build_parser, run_cli
 
 TABLE_CSV_REALIZABLE = (
     "t,x,y\n"
@@ -288,10 +287,23 @@ def test_markdown_format(capsys):
     assert out.startswith("| T | Permutations |")
 
 
-def test_every_config_field_is_a_run_flag():
+def test_dump_config_keys_are_the_config_file_keys(capsys, tmp_path):
+    argv = ["--T", "4", "--d", "2", "--learners", "wm", "--dump-config"]
+    code, out, _ = run_argv(argv, capsys)
+    assert code == 0
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {flag for action in commands.choices["run"]._actions for flag in action.option_strings}
-    assert {"--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)} <= flags
+    # every destination the run parser has, plus the subcommand's and a stranger
+    keys = {action.dest for action in commands.choices["run"]._actions} | {"command", "bogus"}
+    accepted = set()
+    config_path = tmp_path / "exp.json"
+    for key in sorted(keys):
+        config_path.write_text(json.dumps({key: None}))  # a null value is skipped, so only the key decides
+        code, _, err = run_argv(["--config", str(config_path), *argv], capsys)
+        if code == 0:
+            accepted.add(key)
+        else:
+            assert err == f"regretlab: error: unknown config keys: {[key]}\n"
+    assert accepted == set(json.loads(out))
 
 
 def test_dump_config_round_trip(capsys, monkeypatch, tmp_path):
@@ -304,19 +316,24 @@ def test_dump_config_round_trip(capsys, monkeypatch, tmp_path):
     ]
     code, out, _ = run_argv(argv, capsys)
     assert code == 0
-    assert out == ExperimentConfig(
-        case="unrealizable",
-        T=10,
-        d=4,
-        learners=("wm", "wm_soa"),
-        perm="sampled:50",
-        seed=13,
-        eta_variant="sqrt2",
-        mode="analytic",
-        format="json",
-        out=None,
-        check_bounds=True,
-    ).to_json()
+    assert out == (
+        "{\n"
+        '  "case": "unrealizable",\n'
+        '  "T": 10,\n'
+        '  "d": 4,\n'
+        '  "learners": [\n'
+        '    "wm",\n'
+        '    "wm_soa"\n'
+        "  ],\n"
+        '  "perm": "sampled:50",\n'
+        '  "seed": 13,\n'
+        '  "eta_variant": "sqrt2",\n'
+        '  "mode": "analytic",\n'
+        '  "format": "json",\n'
+        '  "out": null,\n'
+        '  "check_bounds": true\n'
+        "}\n"
+    )
     config_path = tmp_path / "dumped.json"
     config_path.write_text(out)
     code, again, err = run_argv(["--config", str(config_path), "--dump-config"], capsys)

@@ -17,7 +17,9 @@ from regretlab import (
     Sequence,
     UnknownInstance,
     WrongPhase,
+    emit_report,
     eta_for,
+    evaluate_many,
     make_case_inputs,
     mistake_profile,
     restrict,
@@ -323,6 +325,34 @@ def test_sampled_mode_reproducible(threshold8, all_ones8):
     b = run(LearnerConfig("wm"), threshold8, all_ones8, Sampled(seed=5, trials=50))
     assert a.max_mistakes_sampled == b.max_mistakes_sampled
     assert [r.mistake_prob for r in a.rounds] == [r.mistake_prob for r in b.rounds]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5,), "seed must be an integer, got 1.5"),
+        ((-1,), "seed must be a non-negative integer or a non-empty tuple of them, got -1"),
+        ((1, 0), "trials must be >= 1, got 0"),
+        ((1, 1.5), "trials must be an integer, got 1.5"),
+    ],
+    ids=["float-seed", "negative-seed", "zero-trials", "float-trials"],
+)
+def test_sampled_refuses_a_bad_seed_or_trials_when_built(args, message):
+    with pytest.raises(ValueError) as info:
+        Sampled(*args)
+    assert str(info.value) == message
+
+
+def test_an_int_seed_draws_as_its_one_tuple():
+    # ordering k of a report draws from seed + (k,), so the mode holds (5,) for 5
+    modes = [Sampled(5, 3), Sampled((5,), 3), Sampled(np.int64(5), 3)]
+    assert {mode.seed for mode in modes} == {(5,)}
+    cls, base = make_case_inputs(ExperimentCase("unrealizable", 12, 6))
+    stream = PermutationStream(base, exhaustive=False, count=40, seed=(3, 0))
+    configs = [LearnerConfig(kind) for kind in ("wm", "wm_halving", "wm_soa")]
+    csvs = {emit_report(evaluate_many(configs, cls, stream, mode), "csv") for mode in modes}
+    traces = {repr(run(LearnerConfig("wm_halving"), cls, base, mode)) for mode in modes}
+    assert len(csvs) == len(traces) == 1
 
 
 def test_sampled_mean_tracks_analytic(threshold8, all_ones8):

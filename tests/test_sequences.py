@@ -139,6 +139,17 @@ def test_case_validation():
         ExperimentCase("realizable", 0, 0)
 
 
+@pytest.mark.parametrize(
+    "T, d, message",
+    [(2.5, 1, "T must be an integer, got 2.5"), (4, 2.0, "d must be an integer, got 2.0")],
+    ids=["float-T", "float-d"],
+)
+def test_case_refuses_a_size_that_is_not_an_integer(T, d, message):
+    with pytest.raises(ValueError) as info:
+        ExperimentCase("realizable", T, d)
+    assert str(info.value) == message
+
+
 def test_exhaustive_count():
     case = ExperimentCase("realizable", 8, 4)
     seq = label_sequence(case, make_domain(8))
@@ -246,6 +257,24 @@ def test_sampled_stream_count_validation():
     seq = label_sequence(ExperimentCase("realizable", 4, 2), make_domain(4))
     with pytest.raises(ValueError):
         PermutationStream(seq, exhaustive=False, count=0)
+
+
+@pytest.mark.parametrize(
+    "count, seed, message",
+    [
+        (2.5, 0, "count must be an integer, got 2.5"),
+        (2, -1, "seed must be a non-negative integer or a non-empty tuple of them, got -1"),
+        (2, (7, -1), "seed must be a non-negative integer or a non-empty tuple of them, got (7, -1)"),
+        (2, (), "seed must be a non-negative integer or a non-empty tuple of them, got ()"),
+        (2, 1.5, "seed must be an integer, got 1.5"),
+    ],
+    ids=["float-count", "negative-seed", "negative-seed-entry", "empty-seed", "float-seed"],
+)
+def test_sampled_stream_refuses_a_bad_count_or_seed_when_built(count, seed, message):
+    seq = label_sequence(ExperimentCase("realizable", 4, 2), make_domain(4))
+    with pytest.raises(ValueError) as info:
+        PermutationStream(seq, exhaustive=False, count=count, seed=seed)
+    assert str(info.value) == message
 
 
 @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
