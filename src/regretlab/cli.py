@@ -12,6 +12,11 @@ object of flags (key `eta_variant` is `--eta-variant`) and parses them ahead of
 the command line, so each value is checked as its flag is and flags win. `gen`
 dumps the generated hypothesis class (JSON) and labeled sequence (CSV).
 
+A setting is refused by the object owning its rule, built before any class:
+ExperimentCase (1 <= d <= T), LearnerConfig (the kinds), check_exhaustive (the
+exhaustive T cap). The CLI keeps MAX_T, MAX_COUNT, the `sampled:N` syntax, a
+non-empty --learners and no baseline on an unrealizable case.
+
 All randomness flows from one non-negative master seed (--seed, falling back to
 the REGRETLAB_SEED environment variable, then 0). Sub-streams are derived by a
 fixed rule: the permutation sampler is seeded with (seed, 0) and the
@@ -27,28 +32,15 @@ import sys
 from contextlib import nullcontext
 
 from .errors import RegretlabError
-from .experiments import emit_report, evaluate_many, with_bounds
+from .experiments import FORMATS, emit_report, evaluate_many, with_bounds
 # Not called here: kept as the attribute perfbench/spans.py wraps as `cli.evaluate`.
 from .experiments import evaluate  # noqa: F401
-from .learners import (
-    ANALYTIC,
-    BASELINE_KINDS,
-    ETA_VARIANTS,
-    LEARNER_KINDS,
-    LearnerConfig,
-    Sampled,
-)
+from .learners import ANALYTIC, BASELINE_KINDS, ETA_VARIANTS, LearnerConfig, Sampled
 from .sequences import (
-    EXHAUSTIVE_T_CAP,
-    REALIZABLE,
-    UNREALIZABLE,
-    ExperimentCase,
-    PermutationStream,
-    make_case_inputs,
+    REALIZABLE, UNREALIZABLE, ExperimentCase, PermutationStream, check_exhaustive, make_case_inputs
 )
 
 SEED_ENV_VAR = "REGRETLAB_SEED"
-FORMATS = ("csv", "json", "markdown")
 MAX_T = 10_000  # ten times the paper's horizon; keeps a d x T table under 10^8 cells
 MAX_COUNT = 10**6  # sampled orderings or trials; ten thousand times the paper's 100 orderings
 # a config holds at most one value per `run` setting, a few hundred bytes;
@@ -169,34 +161,38 @@ def _config_tokens(path: str, settings: dict) -> list[str]:
     return tokens
 
 
-def _check_size(T: int, d: int) -> None:
-    """Refuse a horizon or class size before any domain or class is built."""
+def _built(build, *args, **kwargs):
+    """Build a library object; the ValueError with which it refuses a setting becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _case(kind: str, T: int, d: int) -> ExperimentCase:
+    """The case of a `run` or `gen`: a T outside 1 .. MAX_T is refused here, a bad d by ExperimentCase."""
     if not 1 <= T <= MAX_T:
         raise ConfigError(f"--T must satisfy 1 <= T <= {MAX_T}, got {T}")
-    if not 1 <= d <= T:
-        raise ConfigError(f"--d must satisfy 1 <= d <= T, got d={d}, T={T}")
+    return _built(ExperimentCase, kind, T, d)
 
 
-def _validate(config: argparse.Namespace) -> tuple[int, int]:
-    """Check the `run` settings; returns (orderings, trials), 0 meaning exhaustive / analytic."""
-    _check_size(config.T, config.d)
+def _validate(config: argparse.Namespace) -> tuple[ExperimentCase, list[LearnerConfig], int, Sampled | None]:
+    """The case, learners, orderings (0: exhaustive) and mode the `run` settings describe, each checked as built."""
+    case = _case(config.case, config.T, config.d)
     if not config.learners:
         raise ConfigError("--learners must name at least one learner")
+    learners = []
     for kind in config.learners:
-        if kind not in LEARNER_KINDS:
-            raise ConfigError(f"unknown learner {kind!r}; choose from {', '.join(LEARNER_KINDS)}")
-        if kind in BASELINE_KINDS and config.case == UNREALIZABLE:
+        learners.append(_built(LearnerConfig, kind, eta_variant=config.eta_variant))
+        if kind in BASELINE_KINDS and case.kind == UNREALIZABLE:
             raise ConfigError(
-                f"learner {kind!r} requires a realizable sequence; "
-                "use its wm_ hybrid for unrealizable cases"
+                f"learner {kind!r} requires a realizable sequence; use its wm_ hybrid for unrealizable cases"
             )
     orderings = _parse_count(config.perm, "--perm", "exhaustive")
-    if not orderings and config.T > EXHAUSTIVE_T_CAP:
-        raise ConfigError(
-            f"exhaustive permutations need T <= {EXHAUSTIVE_T_CAP}; use --perm sampled:N"
-        )
+    if not orderings:
+        check_exhaustive(case.T)
     trials = _parse_count(config.mode, "--mode", "analytic")
-    return orderings, trials
+    return case, learners, orderings, Sampled((config.seed, 1), trials) if trials else ANALYTIC
 
 
 def _run_command(config: argparse.Namespace) -> int:
@@ -205,7 +201,7 @@ def _run_command(config: argparse.Namespace) -> int:
             config.seed = _natural(os.environ.get(SEED_ENV_VAR, "0"))
         except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} {exc}") from None
-    orderings, trials = _validate(config)
+    case, learners, orderings, mode = _validate(config)
     if config.dump_config:
         sys.stdout.write(json.dumps(_settings(config), indent=2) + "\n")
         return 0
@@ -213,11 +209,8 @@ def _run_command(config: argparse.Namespace) -> int:
     # an unwritable --out fails here, before any class is built or learner run
     out = open(config.out, "w", newline="") if config.out else nullcontext(sys.stdout)
     with out as fh:
-        cls, base = make_case_inputs(ExperimentCase(config.case, config.T, config.d))
+        cls, base = make_case_inputs(case)
         stream = PermutationStream(base, exhaustive=not orderings, count=orderings, seed=(config.seed, 0))
-        mode = Sampled((config.seed, 1), trials) if trials else ANALYTIC
-
-        learners = [LearnerConfig(kind, eta_variant=config.eta_variant) for kind in config.learners]
         reports = evaluate_many(learners, cls, stream, mode=mode)
         if config.check_bounds:
             for report in reports:
@@ -231,9 +224,7 @@ def _run_command(config: argparse.Namespace) -> int:
 
 def _gen_command(args: argparse.Namespace) -> int:
     d = args.d if args.d is not None else max(1, args.T // 2)
-    _check_size(args.T, d)
-    case = ExperimentCase(args.case, args.T, d)
-    cls, base = make_case_inputs(case)
+    cls, base = make_case_inputs(_case(args.case, args.T, d))
     if args.out:
         with open(f"{args.out}.sequence.csv", "w", newline="") as fh:
             fh.write(base.to_csv())

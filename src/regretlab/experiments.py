@@ -238,8 +238,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+FORMATS = ("csv", "json", "markdown")
+
+
 def emit_report(reports: list[PermutationReport], fmt: str = "csv") -> str:
-    """Render reports as csv, json, or markdown."""
+    """Render reports in one of FORMATS."""
     if not reports:
         raise ValueError("no reports to emit")
     if fmt == "csv":

@@ -199,6 +199,12 @@ class FiniteHypothesisClass:
     def full_space(self) -> VersionSpace:
         return VersionSpace.full(self.d)
 
+    def mask_of(self, space: VersionSpace) -> int:
+        """The bitmask of `space`, which must be sized for this class: IndexOutOfRange otherwise."""
+        if space.d != self.d:
+            raise IndexOutOfRange(f"version space over {space.d} hypotheses given for a class of {self.d}")
+        return space.mask
+
     def to_json(self) -> str:
         return json.dumps({"domain": list(self.domain), "table": self.table.tolist()})
 
@@ -214,10 +220,8 @@ class FiniteHypothesisClass:
 
 def restrict(space: VersionSpace, cls: FiniteHypothesisClass, x: int, y: int) -> VersionSpace:
     """Keep only the hypotheses in `space` that label x with y."""
-    j = cls.column_index(x)
-    ones = cls.ones_mask(j)
-    mask = space.mask & ones if y == 1 else space.mask & ~ones
-    return VersionSpace(mask, space.d)
+    mask, ones = cls.mask_of(space), cls.ones_mask(cls.column_index(x))
+    return VersionSpace(mask & ones if y == 1 else mask & ~ones, space.d)
 
 
 def mistake_profile(cls: FiniteHypothesisClass, seq: Sequence) -> np.ndarray:

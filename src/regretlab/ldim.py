@@ -195,7 +195,7 @@ def ldim(
     if not space:
         raise EmptyVersionSpace("Ldim of an empty member set is undefined")
     computer = LdimComputer(cls)
-    value = computer.value(space.mask)
+    value = computer.value(cls.mask_of(space))
     witness = None
     if want_witness:
         if len(space) > WITNESS_D_CAP:
@@ -214,8 +214,9 @@ def ldim_witness_check(
     Walks each of the 2^depth labelings through the heap-ordered nodes and
     asks for a surviving hypothesis consistent with the whole path.
     """
+    mask = cls.mask_of(members)
     for labels in product((0, 1), repeat=tree.depth):
-        alive = members.mask
+        alive = mask
         i = 1
         for y in labels:
             j = cls.column_index(tree.nodes[i - 1])

@@ -97,7 +97,7 @@ class LearnerConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in LEARNER_KINDS:
-            raise ValueError(f"unknown learner kind {self.kind!r}")
+            raise ValueError(f"unknown learner kind {self.kind!r}; choose from {', '.join(LEARNER_KINDS)}")
         if self.eta_variant not in ETA_VARIANTS:
             raise ValueError(f"unknown eta variant {self.eta_variant!r}")
         if self.tie_break not in TIE_BREAKS:

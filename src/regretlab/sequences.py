@@ -140,7 +140,7 @@ def _seed(seed) -> tuple[int, ...]:
 def check_exhaustive(T: int) -> None:
     """Refuse an exhaustive stream of T > EXHAUSTIVE_T_CAP rounds, before anything is built."""
     if T > EXHAUSTIVE_T_CAP:
-        raise FactorialCapExceeded(f"exhaustive enumeration needs T <= {EXHAUSTIVE_T_CAP}, got T={T}")
+        raise FactorialCapExceeded(f"exhaustive streams need T <= {EXHAUSTIVE_T_CAP}, not {T}; use a sampled stream")
 
 
 def _shuffled_blocks(T: int, count: int, seed: int | tuple[int, ...]) -> Iterator[np.ndarray]:

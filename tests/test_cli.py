@@ -11,6 +11,7 @@ import pytest
 
 from regretlab import cli, sequences
 from regretlab.cli import MAX_CONFIG_BYTES, MAX_COUNT, MAX_T, build_parser, run_cli
+from regretlab.learners import LEARNER_KINDS
 
 TABLE_CSV_REALIZABLE = (
     "t,x,y\n"
@@ -586,6 +587,43 @@ def test_horizon_out_of_range_refused_before_building(capsys, monkeypatch, argv)
     assert code == 1
     assert out == ""
     assert f"1 <= T <= {MAX_T}" in err
+
+
+# refusals that come from the library object owning the rule: ExperimentCase,
+# LearnerConfig and sequences.check_exhaustive; gen takes no learners and no stream
+LIBRARY_REFUSALS = {
+    "d-over-T": (["--T", "4", "--d", "8", "--learners", "wm"], "d must satisfy 1 <= d <= T, got d=8, T=4"),
+    "unknown-learner": (
+        ["--T", "4", "--d", "2", "--learners", "winnow"],
+        f"unknown learner kind 'winnow'; choose from {', '.join(LEARNER_KINDS)}",
+    ),
+    "exhaustive-cap": (
+        ["--T", "12", "--d", "4", "--learners", "wm", "--perm", "exhaustive"],
+        f"exhaustive streams need T <= {sequences.EXHAUSTIVE_T_CAP}, not 12; use a sampled stream",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "source, refusal",
+    [(source, refusal) for source in ("dump_config", "file") for refusal in LIBRARY_REFUSALS] + [("gen", "d-over-T")],
+)
+def test_library_refusal_exits_1_before_building(capsys, monkeypatch, tmp_path, source, refusal):
+    def no_build(case):  # pragma: no cover - must not be called
+        raise AssertionError("class built for a refused setting")
+
+    monkeypatch.setattr(cli, "make_case_inputs", no_build)
+    flags, message = LIBRARY_REFUSALS[refusal]
+    if source == "file":
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({flag[2:]: value for flag, value in zip(flags[::2], flags[1::2])}))
+        argv = ["run", "--config", str(config_path)]
+    else:
+        argv = ["run", *flags, "--dump-config"] if source == "dump_config" else ["gen", *flags[:4]]
+    code, out, err = run_argv(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"regretlab: error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["-1", *LOOSE_NUMBERS], ids=["negative", *LOOSE_IDS])

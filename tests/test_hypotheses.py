@@ -67,6 +67,14 @@ def test_restrict_noop_when_all_agree(threshold8):
     assert space == threshold8.full_space()
 
 
+@pytest.mark.parametrize("space", [VersionSpace.of([0, 6], 7), VersionSpace.full(3)], ids=["wider", "narrower"])
+def test_restrict_refuses_a_space_sized_for_another_class(space):
+    cls, _ = make_case_inputs(ExperimentCase("realizable", 8, 4))
+    with pytest.raises(IndexOutOfRange) as info:
+        restrict(space, cls, 3, 1)
+    assert str(info.value) == f"version space over {space.d} hypotheses given for a class of 4"
+
+
 def test_mistake_profile_realizable(threshold8, realizable8):
     assert mistake_profile(threshold8, realizable8).tolist() == [0, 1, 2, 3, 4]
 

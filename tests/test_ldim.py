@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from regretlab import (
     EmptyVersionSpace,
     ExperimentCase,
+    IndexOutOfRange,
     LdimCapExceeded,
     LdimComputer,
     ShatteredTree,
@@ -51,6 +52,16 @@ def test_singleton_class_dimension_zero():
 def test_empty_member_set_rejected(quad_class):
     with pytest.raises(EmptyVersionSpace):
         ldim(quad_class, VersionSpace(0, 4))
+
+
+@pytest.mark.parametrize("space", [VersionSpace.of([0, 1, 2, 3, 6], 7), VersionSpace.full(3)], ids=["wider", "narrower"])
+def test_space_sized_for_another_class_refused(space):
+    cls, _ = make_case_inputs(ExperimentCase("realizable", 8, 4))
+    message = f"version space over {space.d} hypotheses given for a class of 4"
+    with pytest.raises(IndexOutOfRange, match=message):
+        ldim(cls, space)
+    with pytest.raises(IndexOutOfRange, match=message):
+        ldim_witness_check(cls, space, ShatteredTree(0, ()))
 
 
 def test_depth_zero_tree_accepted(quad_class):
