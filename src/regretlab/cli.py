@@ -13,9 +13,10 @@ the command line, so each value is checked as its flag is and flags win. `gen`
 dumps the generated hypothesis class (JSON) and labeled sequence (CSV).
 
 A setting is refused by the object owning its rule, built before any class:
-ExperimentCase (1 <= d <= T), LearnerConfig (the kinds), check_exhaustive (the
-exhaustive T cap). The CLI keeps MAX_T, MAX_COUNT, the `sampled:N` syntax, a
-non-empty --learners and no baseline on an unrealizable case.
+ExperimentCase (the case kinds, 1 <= d <= T), LearnerConfig (the learner kinds
+and eta variants), check_exhaustive (the exhaustive T cap). The CLI keeps
+MAX_T, MAX_COUNT, the `sampled:N` syntax, a non-empty --learners and no
+baseline on an unrealizable case.
 
 All randomness flows from one non-negative master seed (--seed, falling back to
 the REGRETLAB_SEED environment variable, then 0). Sub-streams are derived by a
@@ -97,13 +98,13 @@ def build_parser() -> _Parser:
     run_p = sub.add_parser("run", help="evaluate learners over a permutation stream")
     run_p.add_argument("--config", help="JSON config file; flags override its values")
     # the `run` settings, in the order --dump-config prints them
-    run_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE), default=REALIZABLE)
+    run_p.add_argument("--case", default=REALIZABLE, help=f"{REALIZABLE} or {UNREALIZABLE}")
     run_p.add_argument("--T", type=_natural, default=0)
     run_p.add_argument("--d", type=_natural, default=0)
     run_p.add_argument("--learners", type=_learner_list, default=(), help="comma-separated learner kinds")
     run_p.add_argument("--perm", default="exhaustive", help="exhaustive or sampled:N")
     run_p.add_argument("--seed", type=_natural)  # None: _run_command reads REGRETLAB_SEED, else 0
-    run_p.add_argument("--eta-variant", choices=ETA_VARIANTS, default="sqrt8")
+    run_p.add_argument("--eta-variant", default="sqrt8", help=" or ".join(ETA_VARIANTS))
     run_p.add_argument("--mode", default="analytic", help="analytic or sampled:N")
     run_p.add_argument("--format", choices=FORMATS, default="csv")
     run_p.add_argument("--out", help="output path (default: stdout)")
@@ -115,7 +116,7 @@ def build_parser() -> _Parser:
     )
 
     gen_p = sub.add_parser("gen", help="dump the generated class and sequence")
-    gen_p.add_argument("--case", choices=(REALIZABLE, UNREALIZABLE), default=REALIZABLE)
+    gen_p.add_argument("--case", default=REALIZABLE, help=f"{REALIZABLE} or {UNREALIZABLE}")
     gen_p.add_argument("--T", type=_natural, required=True)
     gen_p.add_argument("--d", type=_natural)
     gen_p.add_argument(

@@ -24,19 +24,20 @@ seeded generator, one generator per ordering, through one routine,
 `_batch_p_one` advances many orderings of one sequence together, one round
 at a time, for several learners at once. No prediction changes the experts'
 mistake counts, so every learner has the same version space each round and
-switches in the same round: the counts, the space and each distinct wm rate
+switches in the same round: the gaps, the space and each distinct wm rate
 are computed once per round and shared. The loop runs the rounds off blank
 columns, columns no hypothesis labels 1, plus each ordering's first blank
 round labeled 1, which must run because it empties the version space; every
-learner predicts 0 on a blank column. Mistake counts are integers,
-so the wm weights come from one table of exp(-eta * k) over the integer gaps
-k <= t above each row's fewest mistakes, with no exp per round. `run_batch_many`
-gives per-ordering totals of each learner over blocks of orderings, (B, T)
-position arrays such as `PermutationStream.blocks()` yields. In sampled
-mode every learner reads the same draws of each ordering, and shares the
-first learner's mistake tally wherever their P(predict 1) agree, as a hybrid
-past its switch and wm do; `run` is the one-learner, one-ordering case that
-keeps the per-round record.
+learner predicts 0 on a blank column. Each row carries its experts' gaps,
+their mistakes above its fewest, renormalized only in a round where every
+expert at the fewest errs. A common shift leaves wm's P(1) as it is, so its
+weights come from one table of exp(-eta * k) over the gaps k <= t, with no
+exp or subtraction per round. `run_batch_many` gives per-ordering totals of
+each learner over blocks of orderings, (B, T) position arrays such as
+`PermutationStream.blocks()` yields. In sampled mode every learner reads the
+same draws of each ordering, and shares the first learner's mistake tally
+wherever their P(predict 1) agree, as a hybrid past its switch and wm do;
+`run` is the one-learner, one-ordering case that keeps the per-round record.
 `run_exhaustive_many` gives each learner's mean and maxima over every ordering
 of an exhaustive stream as exact sums over one table of predictions, one per
 (prefix type counts, next example type), whose last digit may differ from a
@@ -99,7 +100,7 @@ class LearnerConfig:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}; choose from {', '.join(LEARNER_KINDS)}")
         if self.eta_variant not in ETA_VARIANTS:
-            raise ValueError(f"unknown eta variant {self.eta_variant!r}")
+            raise ValueError(f"unknown eta variant {self.eta_variant!r}; choose from {', '.join(ETA_VARIANTS)}")
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
@@ -374,7 +375,8 @@ def run_exhaustive_many(
     ex = first.take(k)  # the first example of each row's type
     wrong = advice.take(first, axis=0) != truth.take(first)[:, None]  # (types, d)
     mistakes = (counts @ wrong).take(state, axis=0)
-    p, _ = _row_rule(configs, cls, T)(mistakes, advice.take(ex, axis=0), cols.take(ex))
+    low = mistakes.min(axis=1, keepdims=True)
+    p = _row_rule(configs, cls, T)(mistakes - low, advice.take(ex, axis=0), cols.take(ex), low[:, 0] == 0)
     q = np.where(truth.take(ex), 1.0 - p, p)  # the mistake probability
     randomized = ((0.0 < p) & (p < 1.0)).any(axis=1)
     level = counts.sum(axis=1)
@@ -468,9 +470,12 @@ def _batch_p_one(
 ) -> tuple[np.ndarray, np.ndarray]:
     """P(predict 1) of each learner, (L, B, T), for B orderings at once, and their switch rounds, (B,).
 
-    Row b's state is one row of expert mistake counts, shared by every
-    learner, and round t's advice is advice_of[cols[:, t]], one (B, d) array;
-    the row rule maps both to the round's predictions. A version space never
+    Row b's state, shared by every learner, is its experts' gaps above its
+    fewest mistakes and whether that fewest is 0 (its version space non-empty).
+    Round t adds its errors on advice_of[cols[:, t]], one (B, d) array; only a
+    row whose fewest rose, every expert at it having erred, subtracts the rise
+    and leaves its space. The row rule maps the state and the advice to the
+    round's predictions. A version space never
     grows, and every learner shares it, so switch[b] is the round, counted
     from 1, in which row b's space empties, or 0 if it never does. A learner
     with an engine predicts by it in the first switch[b] rounds of row b, or
@@ -495,16 +500,21 @@ def _batch_p_one(
     K = int(kept[0].sum())
     pos = np.broadcast_to(np.arange(T, dtype=np.int32), (B, T))[kept].reshape(B, K)  # kept rounds
     kept_cols, kept_truth = cols[kept].reshape(B, K), truth[kept].reshape(B, K)
-    mistakes = np.zeros((B, cls.d), dtype=np.int32)  # never above T
+    gaps, wrong = np.zeros((B, cls.d), dtype=np.int32), np.empty((B, cls.d), dtype=bool)  # gaps never above T
+    in_space, low = np.ones(B, dtype=bool), np.empty(B, dtype=np.int32)
     space_rounds = np.zeros(B, dtype=np.int64)
     p_one, rows = np.zeros((len(configs), B, T)), np.arange(B)
     for k in range(K):
         advice = advice_of[kept_cols[:, k]]
-        p_one[:, rows, pos[:, k]], in_space = p_rows(mistakes, advice, kept_cols[:, k])
+        p_one[:, rows, pos[:, k]] = p_rows(gaps, advice, kept_cols[:, k], in_space)
         space_rounds += in_space
-        mistakes += advice != kept_truth[:, k, None]
+        gaps += np.not_equal(advice, kept_truth[:, k, None], out=wrong)
+        if np.minimum.reduce(gaps, axis=1, out=low).any():  # every expert at some row's fewest erred
+            moved = np.flatnonzero(low)
+            gaps[moved] -= low[moved, None]
+            in_space[moved] = False
     switch = np.zeros(B, dtype=np.int64)
-    emptied = mistakes.min(axis=1) > 0
+    emptied = ~in_space
     switch[emptied] = pos[emptied, space_rounds[emptied] - 1] + 1
     if any(c.kind in BASELINE_KINDS for c in configs) and ((0 < switch) & (switch < T)).any():
         raise WrongPhase("version space is empty; the sequence is not realizable")
@@ -514,10 +524,10 @@ def _batch_p_one(
 def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T: int):
     """The distinct learners' predictions on rows, for sequences of length T.
 
-    The returned function maps R rows of (expert mistake counts, advice on
-    the row's instance, that instance's column) to (P(predict 1) of each
-    learner, (L, R); whether the row's version space -- the experts with no
-    mistake -- is non-empty, (R,)). A learner with an engine predicts by it on
+    The returned function maps R rows of (expert gaps above the row's fewest
+    mistakes, advice on the row's instance, that instance's column, whether the
+    row's version space is non-empty) to P(predict 1) of each learner, (L, R);
+    an in-space row's space is its experts with gap 0. A learner with an engine predicts by it on
     the in-space rows and by wm on the rest; wm has no engine and predicts
     every row. The rows and their spaces are shared, so each distinct
     (engine, tie_break) runs once on the in-space rows and wm once per
@@ -525,9 +535,9 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
     else on the out-of-space rows only. A baseline raises WrongPhase on any
     row whose space is empty.
 
-    Mistake counts are integers and a row's gap above its own minimum is at
-    most T, so the wm weights exp(-eta * (m - min m)) are read from the table
-    decay[k] = exp(-eta * k), k = 0 .. T, built once per variant here. P(1)
+    Gaps are integers at most T, so the wm weights exp(-eta * gap), which give
+    the P(1) of exp(-eta * m), are read from the table decay[k] = exp(-eta * k),
+    k = 0 .. T, built once per variant here. P(1)
     is S1 / (S1 + S0), the weight on 1 over the weights on 1 and on 0. An
     empty side sums to exactly 0, so a column all experts label alike gives
     exactly 0.0 or 1.0, and S1 <= S1 + S0 in floating point, so P(1) <= 1.
@@ -545,33 +555,31 @@ def _row_rule(configs: tuple[LearnerConfig, ...], cls: FiniteHypothesisClass, T:
     decays = {v: np.exp(-eta_for(cls.d, T, v) * np.arange(T + 1)) for v in rates}
     vote = np.uint16 if cls.d < 1 << 16 else np.intp  # a vote count is at most d
 
-    def p_rows(mistakes: np.ndarray, advice: np.ndarray, cols: np.ndarray):
-        low = np.minimum.reduce(mistakes, axis=1, keepdims=True)
-        in_space = low[:, 0] == 0
+    def p_rows(gaps: np.ndarray, advice: np.ndarray, cols: np.ndarray, in_space: np.ndarray):
         inside = np.count_nonzero(in_space)
         all_in, any_in = inside == len(in_space), inside > 0
         if baseline and not all_in:
             raise WrongPhase("version space is empty; the sequence is not realizable")
-        p = np.empty((len(configs), len(mistakes)))
+        p = np.empty((len(configs), len(gaps)))
         for variant, users in rates.items():
             if all_in and variant not in every_row:
                 continue
             rows = np.flatnonzero(~in_space) if any_in and variant not in every_row else slice(None)
-            w, row_advice = decays[variant].take(_rows(mistakes, rows) - _rows(low, rows)), _rows(advice, rows)
+            w, row_advice = decays[variant].take(_rows(gaps, rows)), _rows(advice, rows)
             ones = np.einsum("ij,ij->i", w, row_advice)
             value = ones / (ones + np.einsum("ij,ij->i", w, ~row_advice))
             for i in users:
                 p[i, rows] = value
         if any_in and engines:  # overwrites the wm values of a hybrid's in-space rows
             rows = slice(None) if all_in else np.flatnonzero(in_space)
-            space, row_advice, row_cols = _rows(mistakes, rows) == 0, _rows(advice, rows), _rows(cols, rows)
+            space, row_advice, row_cols = _rows(gaps, rows) == 0, _rows(advice, rows), _rows(cols, rows)
             # each row's survivors voting 1 and its space size, read by halving and soa
             votes = tuple(np.add.reduce(v.view(np.uint8), axis=1, dtype=vote) for v in (space & row_advice, space))
             for (engine, tie_break), users in engines.items():
                 value = _engine_p_one(engine, tie_break, cls, space, row_advice, row_cols, votes, computer)
                 for i in users:
                     p[i, rows] = value
-        return p, in_space
+        return p
 
     return p_rows
 

@@ -31,6 +31,13 @@ same draw blocks, every learner compared with every draw and counted in int64.
 
 `wm_weights` is Weighted Majority's weight definition over an array of
 mistake counts; the wm tests read a prediction's expected P(1) from it.
+
+The round-kernel oracle, `batch_p_one_reference`, is the per-round form the
+carried gaps of `learners._batch_p_one` replaced: raw mistake counts, each
+round's wm weights read as decay[m - min m] and summed by the same two
+`einsum` calls, and each in-space row's engine prediction from
+`_engine_prediction`. The kernel's operands are the same, so its P(1) must
+be bit-identical to this one.
 """
 
 import math
@@ -50,7 +57,7 @@ from regretlab import (
     restrict,
     run_batch_many,
 )
-from regretlab.learners import BASELINE_KINDS, HYBRID_KINDS, RoundRecord
+from regretlab.learners import BASELINE_KINDS, ETA_VARIANTS, HYBRID_KINDS, RoundRecord
 
 _TREE_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -182,7 +189,8 @@ def _engine_prediction(engine, tie_break, cls, scan_memo, space, x) -> float:
 def wm_weights(mistakes: np.ndarray, eta: float) -> np.ndarray:
     """Normalized weights exp(-eta * mistakes) along the last axis; shifted for stability.
 
-    The definition; `learners._batch_p_one` reads the same shifted weights from a table.
+    The definition; `learners._batch_p_one` reads the same weights from a table, indexed by the
+    gaps above each row's fewest mistakes that it carries from round to round.
     """
     m = np.asarray(mistakes, dtype=np.float64)
     w = np.exp(-eta * (m - m.min(axis=-1, keepdims=True)))
@@ -194,6 +202,39 @@ def _wm_prediction(eta: float, mistakes: list[int], advice: list[int]) -> float:
     low = min(mistakes)
     weights = [math.exp(-eta * (m - low)) for m in mistakes]
     return min(1.0, sum(w for w, a in zip(weights, advice) if a == 1) / sum(weights))
+
+
+def batch_p_one_reference(configs, cls: FiniteHypothesisClass, cols: np.ndarray, truth: np.ndarray):
+    """What `learners._batch_p_one` returns: P(predict 1), (L, B, T), and switch rounds, (B,).
+
+    Every round of every row is predicted, blank columns too, from the raw
+    mistake counts m: wm by decay[m - min m] over each row and the two
+    `einsum` sums, an engine by `_engine_prediction` on each in-space row. A
+    baseline raises WrongPhase in a round some row's space is empty before.
+    """
+    B, T = cols.shape
+    decays = {v: np.exp(-eta_for(cls.d, T, v) * np.arange(T + 1)) for v in ETA_VARIANTS}
+    mistakes = np.zeros((B, cls.d), dtype=np.int64)
+    p_one, switch, scan_memo = np.zeros((len(configs), B, T)), np.zeros(B, dtype=np.int64), {}
+    for t in range(T):
+        advice = cls.advice_of[cols[:, t]]
+        gaps = mistakes - mistakes.min(axis=1, keepdims=True)
+        in_space = (mistakes == 0).any(axis=1)
+        for i, config in enumerate(configs):
+            if config.kind in BASELINE_KINDS and not in_space.all():
+                raise WrongPhase("version space is empty")
+            w = decays[config.eta_variant].take(gaps)
+            ones = np.einsum("ij,ij->i", w, advice)
+            p_one[i, :, t] = ones / (ones + np.einsum("ij,ij->i", w, ~advice))
+            if config.kind != "wm":
+                engine = config.kind.removeprefix("wm_")
+                for b in np.flatnonzero(in_space):
+                    space = VersionSpace.of(np.flatnonzero(mistakes[b] == 0).tolist(), cls.d)
+                    x = cls.domain[cols[b, t]]
+                    p_one[i, b, t] = _engine_prediction(engine, config.tie_break, cls, scan_memo, space, x)
+        mistakes += advice != truth[:, t, None]
+        switch[in_space & (mistakes.min(axis=1) > 0)] = t + 1
+    return p_one, switch
 
 
 def reference_run(config, cls: FiniteHypothesisClass, seq, mode=ANALYTIC) -> RunTrace:

@@ -385,8 +385,8 @@ VALID_FILE = {"T": 5, "d": 2, "learners": ["wm"]}
     [
         (dict(VALID_FILE, perm=3), "--perm must be"),
         ([VALID_FILE], "must hold a JSON object"),
-        (dict(VALID_FILE, case="bogus"), "argument --case: invalid choice"),
-        (dict(VALID_FILE, eta_variant="bogus"), "argument --eta-variant: invalid choice"),
+        (dict(VALID_FILE, case="bogus"), "kind must be realizable or unrealizable, got 'bogus'"),
+        (dict(VALID_FILE, eta_variant="bogus"), "unknown eta variant 'bogus'; choose from sqrt8, sqrt2"),
         (dict(VALID_FILE, check_bounds="no"), "--check-bounds"),
         (dict(VALID_FILE, seed="x"), "argument --seed"),
         (dict(VALID_FILE, T="five"), "argument --T: must be a non-negative integer"),

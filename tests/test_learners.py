@@ -26,7 +26,7 @@ from regretlab import (
     run,
 )
 from regretlab import learners, sequences
-from regretlab.learners import HYBRID_KINDS, LEARNER_KINDS, TIE_BREAKS
+from regretlab.learners import ETA_VARIANTS, HYBRID_KINDS, LEARNER_KINDS, TIE_BREAKS
 
 from . import oracles
 from .conftest import make_class, seq_of
@@ -366,13 +366,18 @@ def test_sampled_mean_tracks_analytic(threshold8, all_ones8):
 # --- structural invariants ------------------------------------------------------
 
 
-small_tables = st.integers(1, 6).flatmap(
-    lambda d: st.integers(1, 6).flatmap(
-        lambda n: st.lists(
-            st.integers(0, 1), min_size=d * n, max_size=d * n
-        ).map(lambda bits: np.array(bits).reshape(d, n))
+def tables(max_d, max_n):
+    """Random 0/1 tables of d <= max_d hypotheses over n <= max_n points."""
+    return st.integers(1, max_d).flatmap(
+        lambda d: st.integers(1, max_n).flatmap(
+            lambda n: st.lists(
+                st.integers(0, 1), min_size=d * n, max_size=d * n
+            ).map(lambda bits: np.array(bits).reshape(d, n))
+        )
     )
-)
+
+
+small_tables = tables(6, 6)
 
 
 @st.composite
@@ -510,9 +515,9 @@ def test_counts_that_reach_2_to_the_16_match_the_reference(T, trials):
 
 
 @st.composite
-def class_and_sequence(draw, max_len=6):
-    """A random class (d, n <= 6) and a sequence (1 <= T <= max_len), realizable or not."""
-    cls = make_class(draw(small_tables))
+def class_and_sequence(draw, max_len=6, table=small_tables):
+    """A random class (by default d, n <= 6) and a sequence (1 <= T <= max_len), realizable or not."""
+    cls = make_class(draw(table))
     T = draw(st.integers(1, max_len))
     xs = [draw(st.integers(0, cls.n - 1)) for _ in range(T)]
     if draw(st.booleans()):  # realizable: labeled by one member of the class
@@ -568,6 +573,64 @@ def test_batch_kernel_matches_per_ordering_run(kind, inputs, tie_break, eta_vari
     cls, base, orders = inputs
     config = LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break)
     assert_kernel_matches_reference(config, cls, base, orders, mode)
+
+
+@st.composite
+def gap_inputs(draw):
+    """A random class (d <= 8, n <= 6), a sequence (T <= 8) and a few orderings of it, as kernel rows."""
+    cls, base = draw(class_and_sequence(max_len=8, table=tables(8, 6)))
+    orders = np.array(draw(st.lists(st.permutations(range(base.T)), min_size=1, max_size=6)))
+    cols, truth = cls.resolve(base)
+    return cls, cols[orders], truth[orders]
+
+
+learner_configs = st.builds(
+    LearnerConfig, st.sampled_from(LEARNER_KINDS), st.sampled_from(ETA_VARIANTS), st.sampled_from(TIE_BREAKS)
+)
+
+
+def assert_kernel_is_bit_identical_to_renormalizing(configs, cls, cols, truth):
+    try:
+        want_p, want_switch = oracles.batch_p_one_reference(configs, cls, cols, truth)
+    except WrongPhase:
+        with pytest.raises(WrongPhase):
+            learners._batch_p_one(configs, cls, cols, truth)
+        return
+    p, switch = learners._batch_p_one(configs, cls, cols, truth)
+    assert np.array_equal(p, want_p)
+    assert np.array_equal(switch, want_switch)
+
+
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@given(
+    inputs=gap_inputs(),
+    tie_break=st.sampled_from(TIE_BREAKS),
+    eta_variant=st.sampled_from(ETA_VARIANTS),
+    others=st.lists(learner_configs, max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_carried_gaps_match_renormalizing_every_round(kind, inputs, tie_break, eta_variant, others):
+    # the same decay-table entries reach the same einsum calls, so P(1) agrees to the bit
+    cls, cols, truth = inputs
+    configs = (LearnerConfig(kind, eta_variant=eta_variant, tie_break=tie_break), *others)
+    assert_kernel_is_bit_identical_to_renormalizing(configs, cls, cols, truth)
+
+
+def test_gaps_of_a_row_whose_fewest_moves_twice_beside_one_whose_never_moves():
+    # h0 labels both points 1, h1 only point 0; no column is blank, so every round runs
+    cls = make_class([[1, 1], [1, 0]])
+    cols = np.array([[0, 1, 0, 1], [0, 1, 0, 1]])
+    truth = np.array([[0, 1, 0, 1], [1, 1, 1, 1]], dtype=bool)
+    counts = (cls.advice_of[cols] != truth[..., None]).cumsum(axis=1)  # (B, T, d) mistakes after each round
+    fewest = counts.min(axis=2)
+    # row 0: both experts err in rounds 1 and 3, the second time above gaps (0, 1); row 1: h0 never errs
+    assert np.count_nonzero(np.diff(fewest, axis=1, prepend=0), axis=1).tolist() == [2, 0]
+    configs = tuple(LearnerConfig(k, eta_variant=v, tie_break=b)
+                    for k in ("wm", *HYBRID_KINDS) for v in ETA_VARIANTS for b in TIE_BREAKS)
+    assert_kernel_is_bit_identical_to_renormalizing(configs, cls, cols, truth)
+    assert learners._batch_p_one(configs, cls, cols, truth)[1].tolist() == [1, 0]
+    with pytest.raises(WrongPhase):
+        learners._batch_p_one((LearnerConfig("halving"),), cls, cols, truth)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
